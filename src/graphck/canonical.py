@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import InternalError, NotFoundError
+from .errors import InternalError, NotFoundError, ValidationError
 from .graph import (
     EdgeRef,
     Graph,
@@ -71,12 +71,12 @@ def is_stably_complete(g: Graph) -> StablyCompleteReport:
                 violations.append((5, (v, w)))
     for v in g.vertices:
         if g.is_infinite_emitter(v) and g.supports_loop(v):
-            if _companion(g, v) is None:
+            if companion(g, v) is None:
                 violations.append((6, (v,)))
     return StablyCompleteReport(not violations, tuple(violations))
 
 
-def _companion(g: Graph, v: str):
+def companion(g: Graph, v: str):
     """First regular vertex on a common cycle with ``v``, or None."""
     for w in g.vertices:
         if g.is_regular(w) and dominates(g, v, w) and dominates(g, w, v):
@@ -87,7 +87,10 @@ def _companion(g: Graph, v: str):
 def _fuel(g: Graph) -> int:
     env = os.environ.get(FUEL_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(f"{FUEL_ENV} must be an integer, got {env!r}") from None
     return max(1, g.n * g.n)
 
 
@@ -161,7 +164,7 @@ def canonicalize(g: Graph) -> tuple:
             if (
                 cur.is_infinite_emitter(v)
                 and cur.supports_loop(v)
-                and _companion(cur, v) is None
+                and companion(cur, v) is None
             ):
                 pipe.do("O", {"vertex": v, "classes": _companion_partition(cur, v)})
         _repair_missing_edges(pipe)

@@ -126,10 +126,9 @@ def build_EH(g: Graph, H) -> Graph:
     """The spike graph of a hereditary set H: one fresh source per entering path.
 
     Requires: H hereditary; the subgraph outside H acyclic and made of
-    regular vertices, each of which dominates H; and a finite bound on
-    the length of entering paths (automatic for a finite acyclic
-    complement, but checked).  Paths are enumerated explicitly, so every
-    vertex outside H must be a finite emitter.
+    regular vertices, each of which dominates H.  A finite acyclic
+    complement bounds the length of entering paths.  Paths are enumerated
+    explicitly, so every vertex outside H must be a finite emitter.
     """
     H = frozenset(H)
     for v in H:
@@ -143,9 +142,8 @@ def build_EH(g: Graph, H) -> Graph:
         if not any(dominates(g, v, h) for h in H):
             raise DomainError(f"vertex {v!r} outside H does not dominate H")
     inner = g.induced(comp)
-    if any(simple_cycles_exist(inner, v) for v in inner.vertices):
+    if any(dominates(inner, v, v) for v in inner.vertices):
         raise DomainError("the subgraph outside H has a cycle")
-    _longest_path_len(inner)  # the bound exists for a finite acyclic complement
 
     paths = _entering_paths(g, H, comp)
     names = []
@@ -168,21 +166,6 @@ def build_EH(g: Graph, H) -> Graph:
     for name, seq in zip(names, paths):
         rows[index[name]][index[seq[-1].dst]] = one
     return Graph(vs, rows)
-
-
-def simple_cycles_exist(g: Graph, v: str) -> bool:
-    return dominates(g, v, v)
-
-
-def _longest_path_len(dag: Graph) -> int:
-    memo = {}
-
-    def depth(v):
-        if v not in memo:
-            memo[v] = 1 + max((depth(w) for w in dag.successors(v)), default=0)
-        return memo[v]
-
-    return max((depth(v) for v in dag.vertices), default=0)
 
 
 def _entering_paths(g: Graph, H: frozenset, comp: list) -> list:

@@ -17,6 +17,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, NotFoundError, ValidationError
@@ -46,7 +47,10 @@ class EdgeRef(NamedTuple):
 class Graph:
     """Immutable directed multigraph over a finite vertex list."""
 
-    __slots__ = ("vertices", "adjacency", "_pos")
+    # ``_reach`` and ``_snf`` are filled on first query (by this module and
+    # by ktheory); they are derived from the adjacency, so identity, hashing
+    # and serialization ignore them.
+    __slots__ = ("vertices", "adjacency", "_pos", "_reach", "_snf")
 
     def __init__(self, vertices: Sequence[str], adjacency: Sequence[Sequence]):
         vs = tuple(str(v) for v in vertices)
@@ -69,6 +73,8 @@ class Graph:
         self.vertices = vs
         self.adjacency = tuple(rows)
         self._pos = {v: i for i, v in enumerate(vs)}
+        self._reach = None
+        self._snf = None
 
     # -- basic access --------------------------------------------------
 
@@ -142,6 +148,11 @@ class Graph:
         for w, m in zip(self.vertices, self.row(v)):
             out.extend(EdgeRef(v, w, i) for i in range(int(m)))
         return tuple(out)
+
+    def _reachability(self) -> "_Reach":
+        if self._reach is None:
+            self._reach = _reach_of(self.adjacency)
+        return self._reach
 
     # -- identity ------------------------------------------------------
 
@@ -254,22 +265,31 @@ def vertex_class(g: Graph, v: str) -> VertexClass:
     )
 
 
+class _Reach(NamedTuple):
+    """Reachability of one graph as bitmasks over vertex positions."""
+
+    succ: list  # bit j of succ[i]: an edge i → j
+    reach: list  # bit j of reach[i]: a path of length >= 1 from i to j
+
+
+def _reach_of(adjacency) -> _Reach:
+    """Successor masks and their transitive closure (Warshall, one mask per row)."""
+    n = len(adjacency)
+    bits = [1 << j for j in range(n)]
+    succ = [sum(compress(bits, row)) for row in adjacency]
+    reach = succ[:]
+    for k in range(n):
+        bit, through = bits[k], reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= through
+    return _Reach(succ, reach)
+
+
 def reaches(g: Graph, v: str, w: str) -> bool:
     """True when there is a path from ``v`` to ``w``, possibly of length zero."""
-    if v == w:
-        g.index(v)
-        return True
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for y in g.successors(u):
-            if y == w:
-                return True
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
+    i, j = g.index(v), g.index(w)
+    return i == j or bool(g._reachability().reach[i] >> j & 1)
 
 
 def dominates(g: Graph, v: str, w: str) -> bool:
@@ -278,8 +298,8 @@ def dominates(g: Graph, v: str, w: str) -> bool:
     For distinct vertices this agrees with :func:`reaches`; for
     ``v == w`` it demands an honest cycle through ``v``.
     """
-    g.index(w)
-    return any(reaches(g, u, w) for u in g.successors(v))
+    i, j = g.index(v), g.index(w)
+    return bool(g._reachability().reach[i] >> j & 1)
 
 
 def shortest_nonzero_path(g: Graph, v: str, w: str) -> list:
@@ -371,59 +391,29 @@ def is_saturated(g: Graph, H: Iterable[str]) -> bool:
     )
 
 
-def _clamped(m: ExtNat, cap: int) -> int:
-    return cap if m.is_infinite else min(int(m), cap)
-
-
-def simple_cycle_count_at(g: Graph, v: str, cap: int = 2) -> int:
-    """Count the simple cycles based at ``v``, truncated at ``cap``.
+def simple_cycle_count_at(g: Graph, v: str) -> int:
+    """Count the simple cycles based at ``v``: 0, 1, or 2 meaning at least two.
 
     A cycle is simple when it returns to its base vertex only once.
-    Parallel edges give distinct cycles, so multiplicities along a cycle
-    multiply (an ∞ entry anywhere counts as at least ``cap``).  Interior
-    vertices may repeat; any such cycle forces the count past 1 because
-    dropping the interior detour leaves a second, shorter simple cycle.
+    Parallel edges give distinct cycles.  A vertex on a cycle has exactly
+    one when its strongly connected component is a bare cycle, every
+    member having a single edge of multiplicity 1 inside the component;
+    any further edge inside the component yields a second cycle through
+    ``v`` (the "no cycle without an exit" form of Condition (K)).  The
+    count is exact only up to two, so there is no truncation parameter.
     """
-    g.index(v)
-    total = 0
-    found = []  # vertex tuples of interior-simple cycles, kept while total <= 1
-    stack = [(v, frozenset(), 1, ())]
-    while stack:
-        cur, visited, prod, trail = stack.pop()
-        for w, m in zip(g.vertices, g.row(cur)):
-            if not m:
-                continue
-            p = min(prod * _clamped(m, cap), cap)
-            if w == v:
-                total += p
-                found.append(trail)
-                if total >= cap:
-                    return cap
-            elif w not in visited:
-                stack.append((w, visited | {w}, p, trail + (w,)))
-    if total == 1:
-        # one interior-simple cycle; a detour cycle at any of its interior
-        # vertices (avoiding v) would yield a second simple cycle
-        for u in found[0]:
-            if _on_cycle_avoiding(g, u, v):
-                return cap
-    return total
-
-
-def _on_cycle_avoiding(g: Graph, u: str, avoid: str) -> bool:
-    seen = set()
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.successors(x):
-            if y == avoid:
-                continue
-            if y == u:
-                return True
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
+    i = g.index(v)
+    r = g._reachability()
+    if not r.reach[i] >> i & 1:
+        return 0
+    # v's strongly connected component: the vertices v reaches that reach v
+    comp = [j for j in range(g.n) if r.reach[i] >> j & 1 and r.reach[j] >> i & 1]
+    mask = sum(1 << j for j in comp)
+    for j in comp:
+        inner = r.succ[j] & mask
+        if inner & (inner - 1) or g.adjacency[j][inner.bit_length() - 1] != 1:
+            return 2
+    return 1
 
 
 def condition_K(g: Graph) -> bool:

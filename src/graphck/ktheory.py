@@ -12,7 +12,6 @@ serve as an oracle: every implemented move must leave it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .errors import InternalError, ValidationError
@@ -233,15 +232,21 @@ def _assert_snf(m, s, u, v, rank):
             raise InternalError("Smith form divisibility chain broken")
 
 
-@lru_cache(maxsize=None)
 def _snf_of(g: Graph):
-    m = reg_matrix(g)
-    s, u, v = smith_normal_form(m)
-    diag = []
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i] != 0:
-            diag.append(s[i][i])
-    return m, s, u, diag
+    """Relation matrix, Smith form, row transform and nonzero diagonal of ``g``.
+
+    Computed on first use and kept with the graph, so it lives exactly as
+    long as the graph does.
+    """
+    if g._snf is None:
+        m = reg_matrix(g)
+        s, u, v = smith_normal_form(m)
+        diag = []
+        for i in range(min(len(s), len(s[0]) if s else 0)):
+            if s[i][i] != 0:
+                diag.append(s[i][i])
+        g._snf = (m, s, u, diag)
+    return g._snf
 
 
 def k_groups(g: Graph) -> KTheoryPair:

@@ -35,7 +35,7 @@ from .errors import DomainError, InternalError, ValidationError
 from .extnat import INF, ExtNat
 from .graph import EdgeRef, Graph, dominates, hereditary_closure, reaches, saturate
 from .ktheory import K0Class, k0_reduce
-from .canonical import is_stably_complete
+from .canonical import companion, is_stably_complete
 
 
 # -- data -------------------------------------------------------------------
@@ -499,7 +499,7 @@ def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> Project
         raise DomainError(f"{v!r} is not an infinite emitter")
     if not g.supports_loop(v):
         raise DomainError(f"{v!r} does not support a loop")
-    w = _first_companion(g, v)
+    w = companion(g, v)
     if w is None:
         raise DomainError(f"no regular vertex shares a cycle with {v!r}")
 
@@ -512,13 +512,6 @@ def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> Project
     head = tuple(_rewrite_terms(c, v, expand) for c in seq.head)
     tail = _rewrite_terms(seq.tail, v, expand) if seq.tail is not None else None
     return ProjectionSequence(head, tail)
-
-
-def _first_companion(g: Graph, v: str):
-    for w in g.vertices:
-        if g.is_regular(w) and dominates(g, v, w) and dominates(g, w, v):
-            return w
-    return None
 
 
 def eliminate_dominated_emitter(

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ import oracles
 from conftest import graphs
 from sample_graphs import edge_to_sink, inf_to_loop, one_loop, two_loops
 
+from graphck import corpus
 from graphck import (
     INF,
     EdgeRef,
@@ -20,6 +22,7 @@ from graphck import (
     is_hereditary,
     is_isomorphic,
     is_saturated,
+    k_groups,
     make_graph,
     reaches,
     saturate,
@@ -185,11 +188,35 @@ class TestSimpleCycles:
         )
         assert simple_cycle_count_at(g, "v") == 2
 
+    @pytest.mark.parametrize(
+        "adjacency, counts",
+        [
+            ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [1, 1, 1]),  # bare 3-cycle
+            ([[0, 2, 0], [0, 0, 1], [1, 0, 0]], [2, 2, 2]),  # one double edge
+            ([[0, 1, 0], [0, 0, "inf"], [1, 0, 0]], [2, 2, 2]),  # one ∞ edge
+            ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], [0, 1, 1]),  # first vertex only reaches a cycle
+        ],
+    )
+    def test_three_vertex_cycles(self, adjacency, counts):
+        g = make_graph(["a", "b", "c"], adjacency)
+        assert [simple_cycle_count_at(g, v) for v in g.vertices] == counts
+
     @settings(max_examples=60)
     @given(graphs(max_vertices=4))
     def test_matches_enumeration_oracle(self, g):
         for v in g.vertices:
             assert simple_cycle_count_at(g, v) == oracles.oracle_simple_cycle_count(g, v)
+
+    def test_seeded_corpus_matches_oracles(self):
+        # five vertices at most: the enumeration oracle takes seconds at six
+        rng = random.Random(20260418)
+        for _ in range(500):
+            g = corpus.random_graph(rng, max_vertices=5)
+            for v in g.vertices:
+                assert simple_cycle_count_at(g, v) == oracles.oracle_simple_cycle_count(g, v)
+                for w in g.vertices:
+                    assert dominates(g, v, w) == oracles.oracle_dominates(g, v, w)
+            assert condition_K(g) == oracles.oracle_condition_K(g)
 
 
 class TestConditionK:
@@ -227,6 +254,16 @@ class TestSerialization:
     @given(graphs())
     def test_json_round_trip_any(self, g):
         assert Graph.from_json(g.to_json()) == g
+
+    def test_cached_structure_is_invisible(self):
+        g = make_graph(["a", "b", "c"], [[1, 1, 0], [0, 2, "inf"], [1, 0, 0]])
+        assert dominates(g, "c", "b")
+        k_groups(g)
+        fresh = make_graph(["a", "b", "c"], [[1, 1, 0], [0, 2, "inf"], [1, 0, 0]])
+        assert g == fresh
+        assert hash(g) == hash(fresh)
+        assert g.canonical_json() == fresh.canonical_json()
+        assert g.digest() == fresh.digest()
 
 
 class TestEdgeRefs:
