@@ -16,7 +16,7 @@ from . import __version__
 from .canonical import canonicalize, is_stably_complete
 from .corners import CornerGraph, corner_graph, realize, unitize
 from .corpus import verify_corpus
-from .errors import GraphCKError
+from .errors import GraphCKError, ValidationError
 from .extnat import ExtNat
 from .graph import Graph, condition_K, vertex_class
 from .ideals import admissible_pairs
@@ -178,7 +178,10 @@ def _cmd_ideals(args) -> int:
 
 def _cmd_corner(args) -> int:
     g = _load_graph(args.graph)
-    mult = {v: ExtNat.of(x) for v, x in json.loads(args.multiplicities).items()}
+    data = json.loads(args.multiplicities)
+    if not isinstance(data, dict):
+        raise ValidationError("--multiplicities must be a JSON object of vertex -> n")
+    mult = {v: ExtNat.of(x) for v, x in data.items()}
     cg = corner_graph(g, mult)
     if args.realize:
         _emit(realize(cg).to_json(), args.out)
@@ -207,6 +210,8 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_vertices < 1:
+        raise ValidationError(f"--max-vertices must be >= 1, got {args.max_vertices}")
     passed, failures = verify_corpus(args.corpus, args.max_vertices, args.seed)
     print(f"{passed}/{args.corpus} invariance checks passed")
     for index, graph_json, message in failures:

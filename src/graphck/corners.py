@@ -46,8 +46,12 @@ class CornerGraph:
 
     @staticmethod
     def from_json(data) -> "CornerGraph":
+        if not isinstance(data, dict) or "base" not in data:
+            raise ValidationError("corner graph JSON needs 'base'")
         base = Graph.from_json(data["base"])
         heads = data.get("heads", {})
+        if not isinstance(heads, dict):
+            raise ValidationError("corner graph JSON 'heads' must be an object")
         try:
             pairs = tuple((v, ExtNat.of(heads[v])) for v in base.vertices)
         except KeyError as exc:

@@ -47,10 +47,10 @@ class EdgeRef(NamedTuple):
 class Graph:
     """Immutable directed multigraph over a finite vertex list."""
 
-    # ``_reach`` and ``_snf`` are filled on first query (by this module and
-    # by ktheory); they are derived from the adjacency, so identity, hashing
-    # and serialization ignore them.
-    __slots__ = ("vertices", "adjacency", "_pos", "_reach", "_snf")
+    # ``_reach``, ``_emission``, ``_snf`` and ``_digest`` are filled on first
+    # query (by this module and by ktheory); they are derived from the
+    # adjacency, so identity, hashing and serialization ignore them.
+    __slots__ = ("vertices", "adjacency", "_pos", "_reach", "_emission", "_snf", "_digest")
 
     def __init__(self, vertices: Sequence[str], adjacency: Sequence[Sequence]):
         vs = tuple(str(v) for v in vertices)
@@ -74,7 +74,9 @@ class Graph:
         self.adjacency = tuple(rows)
         self._pos = {v: i for i, v in enumerate(vs)}
         self._reach = None
+        self._emission = None
         self._snf = None
+        self._digest = None
 
     # -- basic access --------------------------------------------------
 
@@ -154,6 +156,11 @@ class Graph:
             self._reach = _reach_of(self.adjacency)
         return self._reach
 
+    def _emitting(self) -> "_Emission":
+        if self._emission is None:
+            self._emission = _emission_of(self.adjacency, self._reachability().succ)
+        return self._emission
+
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other):
@@ -196,13 +203,21 @@ class Graph:
     def from_json(data) -> "Graph":
         if not isinstance(data, dict) or "vertices" not in data or "adjacency" not in data:
             raise ValidationError("graph JSON needs 'vertices' and 'adjacency'")
-        return Graph(data["vertices"], data["adjacency"])
+        vertices, adjacency = data["vertices"], data["adjacency"]
+        if not isinstance(vertices, list):
+            raise ValidationError("graph JSON 'vertices' must be a list")
+        if not (isinstance(adjacency, list) and all(isinstance(r, list) for r in adjacency)):
+            raise ValidationError("graph JSON 'adjacency' must be a list of rows")
+        return Graph(vertices, adjacency)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"), ensure_ascii=False)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        if self._digest is None:
+            text = self.canonical_json().encode("utf-8")
+            self._digest = hashlib.sha256(text).hexdigest()
+        return self._digest
 
     def to_dot(self, name: str = "G") -> str:
         """DOT text with one rendered edge per vertex pair, labeled by multiplicity."""
@@ -286,6 +301,65 @@ def _reach_of(adjacency) -> _Reach:
     return _Reach(succ, reach)
 
 
+class _Emission(NamedTuple):
+    """How each vertex emits, as bitmasks over vertex positions.
+
+    Kept apart from :class:`_Reach`, which rewriting builds for many
+    graphs that are never asked about saturation or breaking vertices.
+    """
+
+    inf: list  # bit j of inf[i]: infinitely many edges i → j
+    regular: int  # bit i: i emits finitely many edges, and at least one
+
+
+def _emission_of(adjacency, succ) -> _Emission:
+    bits = [1 << j for j in range(len(adjacency))]
+    inf = [sum(compress(bits, [x.is_infinite for x in row])) for row in adjacency]
+    return _Emission(inf, sum(b for b, s, i in zip(bits, succ, inf) if s and not i))
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(g: Graph, names: Iterable[str]) -> int:
+    """The bitmask of a vertex set; unknown names raise :class:`NotFoundError`."""
+    m = 0
+    for v in names:
+        m |= 1 << g.index(v)
+    return m
+
+
+def _names(g: Graph, mask: int) -> frozenset:
+    return frozenset(g.vertices[i] for i in _bits(mask))
+
+
+def _closure_mask(g: Graph, m: int) -> int:
+    """``m`` and everything it reaches."""
+    reach = g._reachability().reach
+    out = m
+    for i in _bits(m):
+        out |= reach[i]
+    return out
+
+
+def _saturate_mask(g: Graph, m: int) -> int:
+    """Add regular vertices whose edges all land inside, until none is left."""
+    succ, regular = g._reachability().succ, g._emitting().regular
+    while True:
+        add = 0
+        for i in _bits(regular & ~m):
+            if not succ[i] & ~m:
+                add |= 1 << i
+        if not add:
+            return m
+        m |= add
+
+
 def reaches(g: Graph, v: str, w: str) -> bool:
     """True when there is a path from ``v`` to ``w``, possibly of length zero."""
     i, j = g.index(v), g.index(w)
@@ -305,61 +379,45 @@ def dominates(g: Graph, v: str, w: str) -> bool:
 def shortest_nonzero_path(g: Graph, v: str, w: str) -> list:
     """A shortest path of length >= 1 from ``v`` to ``w``, as a vertex list.
 
-    Raises :class:`NotFoundError` when ``v`` does not dominate ``w``.
+    One breadth-first search starts from the successors of ``v`` in
+    vertex order, with ``v`` itself unvisited so that cycles back to it
+    are found.  Of the shortest paths it takes the one through the first
+    such successor, and below it the first found.  Raises
+    :class:`NotFoundError` when ``v`` does not dominate ``w``.
     """
-    best = None
-    for u in g.successors(v):
-        if u == w:
-            return [v, w]
-        prev = {u: None}
-        queue = deque([u])
-        found = None
-        while queue:
-            x = queue.popleft()
-            for y in g.successors(x):
-                if y not in prev:
-                    prev[y] = x
-                    if y == w:
-                        found = y
-                        queue.clear()
-                        break
-                    queue.append(y)
-        if found is not None:
-            path = [w]
-            x = prev[w]
-            while x is not None:
-                path.append(x)
-                x = prev[x]
-            path.append(v)
-            path.reverse()
-            if best is None or len(path) < len(best):
-                best = path
-    if best is None:
+    i, j = g.index(v), g.index(w)
+    r = g._reachability()
+    if not r.reach[i] >> j & 1:
         raise NotFoundError(f"{v!r} does not dominate {w!r}")
-    return best
+    if r.succ[i] >> j & 1:
+        return [v, w]
+    seen = r.succ[i]
+    prev = dict.fromkeys(_bits(seen))
+    queue = deque(prev)
+    while j not in prev:
+        x = queue.popleft()
+        new = r.succ[x] & ~seen
+        seen |= new
+        for y in _bits(new):
+            prev[y] = x
+            if y == j:
+                break
+            queue.append(y)
+    path = [j]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    path.append(i)
+    return [g.vertices[k] for k in reversed(path)]
 
 
 def hereditary_closure(g: Graph, S: Iterable[str]) -> frozenset:
     """Smallest superset of ``S`` closed under forward reachability."""
-    out = set()
-    queue = deque()
-    for v in S:
-        g.index(v)
-        if v not in out:
-            out.add(v)
-            queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for y in g.successors(u):
-            if y not in out:
-                out.add(y)
-                queue.append(y)
-    return frozenset(out)
+    return _names(g, _closure_mask(g, _mask(g, S)))
 
 
 def is_hereditary(g: Graph, H: Iterable[str]) -> bool:
-    H = set(H)
-    return all(set(g.successors(v)) <= H for v in H)
+    m = _mask(g, H)
+    return _closure_mask(g, m) == m
 
 
 def saturate(g: Graph, H: Iterable[str]) -> frozenset:
@@ -369,26 +427,13 @@ def saturate(g: Graph, H: Iterable[str]) -> frozenset:
     whose edges land inside it.  The rule never applies to sinks or to
     infinite emitters.
     """
-    out = set(H)
-    for v in out:
-        g.index(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v not in out and g.is_regular(v) and set(g.successors(v)) <= out:
-                out.add(v)
-                changed = True
-    return frozenset(out)
+    return _names(g, _saturate_mask(g, _mask(g, H)))
 
 
 def is_saturated(g: Graph, H: Iterable[str]) -> bool:
-    H = set(H)
-    return all(
-        v in H
-        for v in g.vertices
-        if g.is_regular(v) and set(g.successors(v)) <= H
-    )
+    # names that are not vertices are ignored, as they cannot be a vertex's target
+    m = _mask(g, (v for v in H if g.has_vertex(v)))
+    return _saturate_mask(g, m) == m
 
 
 def simple_cycle_count_at(g: Graph, v: str) -> int:

@@ -16,7 +16,16 @@ from itertools import combinations
 
 from .errors import DomainError
 from .extnat import ExtNat
-from .graph import Graph, is_hereditary, is_saturated
+from .graph import (
+    Graph,
+    _bits,
+    _closure_mask,
+    _mask,
+    _names,
+    _saturate_mask,
+    is_hereditary,
+    is_saturated,
+)
 
 
 @dataclass(frozen=True)
@@ -51,20 +60,24 @@ class IdealLattice:
         return max(self.nodes, key=lambda p: (len(p.h), len(p.s)))
 
     def hasse_edges(self) -> list:
-        """Covering relations of the order, as index pairs."""
-        strict = {
-            (i, j) for (i, j) in self.order if i != j
-        }
-        out = []
-        for i, j in sorted(strict):
-            if not any((i, k) in strict and (k, j) in strict for k in range(len(self.nodes))):
-                out.append((i, j))
-        return out
+        """Covering relations of the order, as sorted index pairs.
+
+        With ``up[i]`` the nodes strictly above node i and ``down[j]`` the
+        nodes strictly below node j, i < j is a cover when no node lies in
+        both.
+        """
+        n = len(self.nodes)
+        up, down = [0] * n, [0] * n
+        for i, j in self.order:
+            if i != j:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+        return [(i, j) for i in range(n) for j in _bits(up[i]) if not up[i] & down[j]]
 
     def to_json(self) -> dict:
         return {
             "nodes": [p.to_json() for p in self.nodes],
-            "order": sorted([i, j] for (i, j) in self.order),
+            "order": [list(pair) for pair in sorted(self.order)],
         }
 
     def to_dot(self) -> str:
@@ -82,57 +95,73 @@ class IdealLattice:
 
 def breaking_vertices(g: Graph, H) -> frozenset:
     """Infinite emitters with finitely many, but some, edges leaving into E⁰ \\ H."""
-    H = frozenset(H)
-    for v in H:
-        g.index(v)
-    if not is_hereditary(g, H):
+    h = _mask(g, H)
+    if _closure_mask(g, h) != h:
         raise DomainError("H is not hereditary")
-    if not is_saturated(g, H):
+    if _saturate_mask(g, h) != h:
         raise DomainError("H is not saturated")
-    out = []
-    for v in g.vertices:
-        if not g.is_infinite_emitter(v):
-            continue
-        leaving = ExtNat(0)
-        for w in g.vertices:
-            if w not in H:
-                leaving = leaving + g.a(v, w)
-        if leaving.is_finite and bool(leaving):
-            out.append(v)
-    return frozenset(out)
+    return _names(g, _breaking_mask(g, h))
+
+
+def _breaking_mask(g: Graph, h: int) -> int:
+    """Infinite emitters with no ∞ entry outside ``h`` but some edge outside it."""
+    out = 0
+    for i, (inf, succ) in enumerate(zip(g._emitting().inf, g._reachability().succ)):
+        if inf and not inf & ~h and succ & ~h:
+            out |= 1 << i
+    return out
 
 
 def saturated_hereditary_sets(g: Graph, max_vertices: int = 16) -> list:
-    """All saturated hereditary subsets, by filtering the full power set."""
+    """All saturated hereditary subsets, by size and then in ``combinations`` order.
+
+    Only hereditary sets are visited: each undecided vertex in turn is
+    either put in, with everything it reaches, or left out, with
+    everything that reaches it, so every branch ends in a hereditary set.
+    """
     if g.n > max_vertices:
         raise DomainError(
             f"refusing to enumerate 2^{g.n} subsets; raise max_vertices to force"
         )
-    out = []
-    vs = list(g.vertices)
-    for k in range(g.n + 1):
-        for combo in combinations(vs, k):
-            H = frozenset(combo)
-            if is_hereditary(g, H) and is_saturated(g, H):
-                out.append(H)
-    return out
+    n = g.n
+    below = [reach | 1 << i for i, reach in enumerate(g._reachability().reach)]
+    above = [sum(1 << u for u in range(n) if below[u] >> i & 1) for i in range(n)]
+    found = []
+    stack = [(0, 0, 0)]  # (next vertex, put in, left out)
+    while stack:
+        i, inside, outside = stack.pop()
+        decided = inside | outside
+        while decided >> i & 1:
+            i += 1
+        if i < n:
+            stack.append((i + 1, inside, outside | above[i]))
+            stack.append((i + 1, inside | below[i], outside))
+        elif _saturate_mask(g, inside) == inside:
+            found.append(inside)
+    found.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
+    return [_names(g, m) for m in found]
 
 
 def admissible_pairs(g: Graph, max_vertices: int = 16) -> IdealLattice:
     """Enumerate every admissible pair and the containment order between them."""
     nodes = []
     for H in saturated_hereditary_sets(g, max_vertices):
-        bv = sorted(breaking_vertices(g, H))
+        bv = sorted(_names(g, _breaking_mask(g, _mask(g, H))))
         for k in range(len(bv) + 1):
             for combo in combinations(bv, k):
                 nodes.append(AdmissiblePair(H, frozenset(combo)))
     nodes.sort(key=lambda p: (len(p.h), sorted(p.h), len(p.s), sorted(p.s)))
     nodes = tuple(nodes)
+    # a <= b iff H_a ⊆ H_b and H_a ∪ S_a ⊆ H_b ∪ S_b (S is disjoint from H):
+    # one subset test on both masks side by side.  A node is below only
+    # nodes sorted after it, since a smaller H has fewer vertices and an
+    # equal H forces S_a ⊆ S_b.
+    keys = [_mask(g, p.h) | _mask(g, p.h | p.s) << g.n for p in nodes]
     order = frozenset(
         (i, j)
-        for i, a in enumerate(nodes)
-        for j, b in enumerate(nodes)
-        if a.h <= b.h and a.s <= (b.h | b.s)
+        for i, a in enumerate(keys)
+        for j in range(i, len(keys))
+        if a & keys[j] == a
     )
     return IdealLattice(nodes, order)
 

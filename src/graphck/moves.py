@@ -69,12 +69,16 @@ class Partition:
 
     @staticmethod
     def from_json(data) -> "Partition":
+        if not isinstance(data, (list, tuple)):
+            raise ValidationError(f"partition must be a list of classes, got {data!r}")
         entries = []
         for c in data:
             if c == "rest":
                 entries.append(REMAINDER)
-            else:
+            elif isinstance(c, (list, tuple)):
                 entries.append(frozenset(EdgeRef.from_json(e) for e in c))
+            else:
+                raise ValidationError(f"partition class must be an edge list or 'rest', got {c!r}")
         return Partition(tuple(entries))
 
 

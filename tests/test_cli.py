@@ -159,3 +159,37 @@ def test_bad_fuel_env_is_one_error_line(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and canonical.FUEL_ENV in err
     assert "Traceback" not in err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_adjacency_not_a_matrix_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": ["a"], "adjacency": 5}))
+    assert main(["analyze", str(path)]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_partition_not_a_list_is_one_error_line(tmp_path, capsys):
+    gpath = write_graph(tmp_path, two_loops())
+    argv = ["move", gpath, "--op", "out-split", "--vertex", "a", "--partition", "5"]
+    assert main(argv) == 1
+    assert _one_error_line(capsys)
+
+
+def test_multiplicities_not_an_object_is_one_error_line(tmp_path, capsys):
+    assert main(["corner", write_graph(tmp_path, two_loops()), "--multiplicities", "[1]"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_unitize_on_plain_graph_is_one_error_line(tmp_path, capsys):
+    assert main(["unitize", write_graph(tmp_path, two_loops())]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_verify_without_vertices_is_one_error_line(capsys):
+    assert main(["verify", "--max-vertices", "0"]) == 1
+    assert _one_error_line(capsys)

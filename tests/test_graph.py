@@ -1,5 +1,6 @@
 import json
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from graphck import (
     simple_cycle_count_at,
     vertex_class,
 )
+from graphck.graph import shortest_nonzero_path
 
 
 class TestMakeGraph:
@@ -137,6 +139,18 @@ class TestHereditaryClosure:
         assert oracles.oracle_hereditary(g, closure)
 
 
+class TestUnknownNames:
+    def test_closure_and_saturation_reject_unknown_names(self):
+        g = edge_to_sink()
+        for fn in (hereditary_closure, is_hereditary, saturate):
+            with pytest.raises(NotFoundError):
+                fn(g, {"b", "zz"})
+
+    def test_is_saturated_ignores_unknown_names(self):
+        assert is_saturated(edge_to_sink(), {"zz"})
+        assert not is_saturated(edge_to_sink(), {"b", "zz"})
+
+
 class TestSaturate:
     def test_pulls_in_regular_emitter(self):
         assert saturate(edge_to_sink(), {"b"}) == {"a", "b"}
@@ -164,6 +178,66 @@ class TestSaturate:
         s = set(data.draw(st.lists(st.sampled_from(list(g.vertices)), max_size=4)))
         h = hereditary_closure(g, s)
         assert is_hereditary(g, saturate(g, h))
+
+
+def _per_successor_shortest_path(g, v, w):
+    """The former search: one BFS per successor of ``v``, keeping the first shortest."""
+    best = None
+    for u in g.successors(v):
+        if u == w:
+            return [v, w]
+        prev = {u: None}
+        queue = deque([u])
+        found = None
+        while queue:
+            x = queue.popleft()
+            for y in g.successors(x):
+                if y not in prev:
+                    prev[y] = x
+                    if y == w:
+                        found = y
+                        queue.clear()
+                        break
+                    queue.append(y)
+        if found is not None:
+            path = [w]
+            x = prev[w]
+            while x is not None:
+                path.append(x)
+                x = prev[x]
+            path.append(v)
+            path.reverse()
+            if best is None or len(path) < len(best):
+                best = path
+    return best
+
+
+class TestShortestNonzeroPath:
+    def test_direct_edge(self):
+        assert shortest_nonzero_path(edge_to_sink(), "a", "b") == ["a", "b"]
+
+    def test_cycle_back_to_start(self):
+        g = make_graph(["a", "b", "c"], [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert shortest_nonzero_path(g, "a", "a") == ["a", "b", "c", "a"]
+
+    def test_not_dominated_raises(self):
+        with pytest.raises(NotFoundError):
+            shortest_nonzero_path(edge_to_sink(), "b", "b")
+        with pytest.raises(NotFoundError):
+            shortest_nonzero_path(edge_to_sink(), "a", "zz")
+
+    def test_matches_per_successor_search(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            g = corpus.random_graph(random.Random(rng.getrandbits(64)), max_vertices=7)
+            for v in g.vertices:
+                for w in g.vertices:
+                    want = _per_successor_shortest_path(g, v, w)
+                    if want is None:
+                        with pytest.raises(NotFoundError):
+                            shortest_nonzero_path(g, v, w)
+                    else:
+                        assert shortest_nonzero_path(g, v, w) == want, (g.to_json(), v, w)
 
 
 class TestSimpleCycles:
@@ -259,11 +333,14 @@ class TestSerialization:
         g = make_graph(["a", "b", "c"], [[1, 1, 0], [0, 2, "inf"], [1, 0, 0]])
         assert dominates(g, "c", "b")
         k_groups(g)
+        digest = g.digest()
         fresh = make_graph(["a", "b", "c"], [[1, 1, 0], [0, 2, "inf"], [1, 0, 0]])
         assert g == fresh
         assert hash(g) == hash(fresh)
+        assert g.to_json() == fresh.to_json()
         assert g.canonical_json() == fresh.canonical_json()
-        assert g.digest() == fresh.digest()
+        assert digest == fresh.digest()
+        assert g.digest() is digest  # hashed once, then kept
 
 
 class TestEdgeRefs:

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,7 +14,9 @@ from graphck import (
     breaking_vertices,
     make_graph,
     restriction_graph,
+    saturated_hereditary_sets,
 )
+from graphck.corpus import DEFAULT_ENTRIES, random_graph
 from graphck.ideals import AdmissiblePair
 
 
@@ -134,3 +139,60 @@ class TestStablyCompleteLattices:
                 if is_hereditary(g, set(combo))
             )
             assert len(admissible_pairs(g).nodes) == hereditary
+
+
+def _power_set_filter(g):
+    """Saturated hereditary sets from the definitions, by size then in combinations order."""
+    rows = dict(zip(g.vertices, g.adjacency))
+    succ = {v: {w for w, x in zip(g.vertices, row) if x} for v, row in rows.items()}
+    regular = {v for v, row in rows.items() if any(row) and not any(x.is_infinite for x in row)}
+    out = []
+    for k in range(g.n + 1):
+        for combo in combinations(g.vertices, k):
+            H = frozenset(combo)
+            hereditary = all(succ[v] <= H for v in H)
+            saturated = all(v in H for v in regular if succ[v] <= H)
+            if hereditary and saturated:
+                out.append(H)
+    return out
+
+
+def _brute_force_covers(lattice):
+    strict = {(i, j) for (i, j) in lattice.order if i != j}
+    n = len(lattice.nodes)
+    return sorted(
+        (i, j) for (i, j) in strict
+        if not any((i, k) in strict and (k, j) in strict for k in range(n))
+    )
+
+
+class TestEnumerationAgainstDefinitions:
+    @pytest.mark.parametrize("entries", [DEFAULT_ENTRIES, (0, 0, 0, 0, 0, 1, 2, "inf")])
+    def test_seeded_graphs(self, entries):
+        # the sparse draws have many sets of one size, so they pin the order
+        rng = random.Random(5)
+        for _ in range(500):
+            g = random_graph(random.Random(rng.getrandbits(64)), 6, entries)
+            assert saturated_hereditary_sets(g) == _power_set_filter(g), g.to_json()
+            lattice = admissible_pairs(g)
+            assert len(lattice.nodes) == oracles.oracle_admissible_pair_count(g), g.to_json()
+            assert lattice.hasse_edges() == _brute_force_covers(lattice), g.to_json()
+
+    def test_long_infinite_path(self):
+        # v0 → v1 → … → v23, every edge of multiplicity ∞: the hereditary
+        # sets are the 25 tails, all saturated (no vertex is regular)
+        n = 24
+        names = [f"v{i}" for i in range(n)]
+        g = make_graph(names, [["inf" if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+        sets = saturated_hereditary_sets(g, max_vertices=n)
+        assert sets == [frozenset(names[n - k:]) for k in range(n + 1)]
+        lattice = admissible_pairs(g, max_vertices=n)
+        assert len(lattice.nodes) == n + 1
+        assert len(lattice.hasse_edges()) == n
+
+    def test_max_vertices_guard(self):
+        g = make_graph([f"v{i}" for i in range(17)], [[0] * 17 for _ in range(17)])
+        with pytest.raises(DomainError, match="refusing to enumerate 2\\^17 subsets"):
+            saturated_hereditary_sets(g)
+        with pytest.raises(DomainError):
+            admissible_pairs(g, max_vertices=4)
