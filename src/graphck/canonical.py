@@ -30,7 +30,7 @@ from .graph import (
     shortest_nonzero_path,
     simple_cycle_count_at,
 )
-from .moves import REMAINDER, Partition, apply_move
+from .moves import REMAINDER, Partition, _remove_sources, apply_move
 
 #: Environment variable overriding the column-operation fuel bound.
 FUEL_ENV = "GRAPHCK_FUEL"
@@ -51,29 +51,34 @@ class StablyCompleteReport:
 
 
 def is_stably_complete(g: Graph) -> StablyCompleteReport:
-    """Check the six conditions; vertices witnessing failures are reported."""
-    violations = []
-    for v in g.vertices:
-        if g.is_regular(v) and not g.supports_loop(v):
-            violations.append((2, (v,)))
-    for v in g.vertices:
-        if g.a(v, v) < 2 and simple_cycle_count_at(g, v) >= 2:
-            violations.append((3, (v,)))
-    for v in g.vertices:
-        if not g.is_infinite_emitter(v):
-            continue
-        for w in g.vertices:
-            if dominates(g, v, w) and not g.a(v, w).is_infinite:
-                violations.append((4, (v, w)))
-    for v in g.vertices:
-        for w in g.vertices:
-            if dominates(g, v, w) and not g.a(v, w):
-                violations.append((5, (v, w)))
-    for v in g.vertices:
-        if g.is_infinite_emitter(v) and g.supports_loop(v):
-            if companion(g, v) is None:
-                violations.append((6, (v,)))
-    return StablyCompleteReport(not violations, tuple(violations))
+    """Check the six conditions; vertices witnessing failures are reported.
+
+    Computed on first use and kept with the graph, which is immutable.
+    """
+    if g._report is None:
+        violations = []
+        for v in g.vertices:
+            if g.is_regular(v) and not g.supports_loop(v):
+                violations.append((2, (v,)))
+        for v in g.vertices:
+            if g.a(v, v) < 2 and simple_cycle_count_at(g, v) >= 2:
+                violations.append((3, (v,)))
+        for v in g.vertices:
+            if not g.is_infinite_emitter(v):
+                continue
+            for w in g.vertices:
+                if dominates(g, v, w) and not g.a(v, w).is_infinite:
+                    violations.append((4, (v, w)))
+        for v in g.vertices:
+            for w in g.vertices:
+                if dominates(g, v, w) and not g.a(v, w):
+                    violations.append((5, (v, w)))
+        for v in g.vertices:
+            if g.is_infinite_emitter(v) and g.supports_loop(v):
+                if companion(g, v) is None:
+                    violations.append((6, (v,)))
+        g._report = StablyCompleteReport(not violations, tuple(violations))
+    return g._report
 
 
 def companion(g: Graph, v: str):
@@ -139,12 +144,8 @@ def canonicalize(g: Graph) -> tuple:
                 pipe.do("T", {"path": shortest_nonzero_path(pipe.graph, v, w)})
 
     # 3: no regular sources
-    while True:
-        cur = pipe.graph
-        sources = [v for v in cur.vertices if cur.is_regular(v) and cur.is_source(v)]
-        if not sources:
-            break
-        pipe.do("S", {"vertex": sources[0]})
+    pipe.graph, records = _remove_sources(pipe.graph)
+    pipe.trace.extend(records)
 
     # 4: every regular vertex supports a loop
     while True:

@@ -21,7 +21,7 @@ from .extnat import ExtNat
 from .graph import Graph, condition_K, vertex_class
 from .ideals import admissible_pairs
 from .ktheory import k_groups
-from .moves import apply_move
+from .moves import _remove_sources, apply_move
 
 
 def _load_graph(path: str) -> Graph:
@@ -126,20 +126,12 @@ def _cmd_canonicalize(args) -> int:
 
 def _cmd_move(args) -> int:
     g = _load_graph(args.graph)
-    trace = []
     if args.op == "remove-sources":
-        cur = g
-        while True:
-            sources = [v for v in cur.vertices if cur.is_regular(v) and cur.is_source(v)]
-            if not sources:
-                break
-            cur, rec = apply_move(cur, "S", {"vertex": sources[0]})
-            trace.append(rec)
-        out = cur
+        out, trace = _remove_sources(g)
     else:
         kind, params = _move_params(args)
         out, rec = apply_move(g, kind, params)
-        trace.append(rec)
+        trace = [rec]
     _emit(out.to_json(), args.out)
     if args.trace:
         _emit([r.to_json() for r in trace], args.trace)

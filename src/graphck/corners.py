@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import CannotRealizeError, DomainError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import Graph, dominates, is_hereditary
+from .graph import Graph, dominates, fresh_names, is_hereditary
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,8 @@ def realize(cg: CornerGraph) -> Graph:
     taken = set(base.vertices)
     chains = {}
     for v, h in cg.heads:
-        chain = []
-        for i in range(1, int(h) + 1):
-            name = f"{v}^{i}"
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            chain.append(name)
-        chains[v] = chain
+        chains[v] = fresh_names(v, int(h), taken)
+        taken.update(chains[v])
     vertices = list(base.vertices)
     for v in base.vertices:
         vertices.extend(chains[v])

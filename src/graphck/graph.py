@@ -47,10 +47,13 @@ class EdgeRef(NamedTuple):
 class Graph:
     """Immutable directed multigraph over a finite vertex list."""
 
-    # ``_reach``, ``_emission``, ``_snf`` and ``_digest`` are filled on first
-    # query (by this module and by ktheory); they are derived from the
-    # adjacency, so identity, hashing and serialization ignore them.
-    __slots__ = ("vertices", "adjacency", "_pos", "_reach", "_emission", "_snf", "_digest")
+    # ``_reach``, ``_emission``, ``_snf``, ``_report`` and ``_digest`` are
+    # filled on first query (by this module, ktheory and canonical); they are
+    # derived from the adjacency, so identity, hashing and serialization
+    # ignore them.
+    __slots__ = (
+        "vertices", "adjacency", "_pos", "_reach", "_emission", "_snf", "_report", "_digest"
+    )
 
     def __init__(self, vertices: Sequence[str], adjacency: Sequence[Sequence]):
         vs = tuple(str(v) for v in vertices)
@@ -76,6 +79,7 @@ class Graph:
         self._reach = None
         self._emission = None
         self._snf = None
+        self._report = None
         self._digest = None
 
     # -- basic access --------------------------------------------------
@@ -431,8 +435,7 @@ def saturate(g: Graph, H: Iterable[str]) -> frozenset:
 
 
 def is_saturated(g: Graph, H: Iterable[str]) -> bool:
-    # names that are not vertices are ignored, as they cannot be a vertex's target
-    m = _mask(g, (v for v in H if g.has_vertex(v)))
+    m = _mask(g, H)
     return _saturate_mask(g, m) == m
 
 

@@ -10,7 +10,8 @@ The moves:
 
 * ``out_split``       distribute a vertex's out-edges over fresh copies
 * ``collapse``        remove a loopless regular vertex, composing edges
-* ``remove_regular_sources``  delete regular sources to a fixed point
+* ``remove_regular_sources``  delete regular sources to a fixed point, one
+                      ``S`` move per removed source
 * ``move_T``          add an infinite parallel family along a path whose
                       first edge already has infinitely many parallels
 * ``column_add``      a legal column operation on A - I
@@ -181,18 +182,7 @@ def collapse(g: Graph, u: str) -> Graph:
 
 def remove_regular_sources(g: Graph) -> Graph:
     """Delete regular sources, and the ones so exposed, to a fixed point."""
-    cur = g
-    while True:
-        doomed = [v for v in cur.vertices if cur.is_regular(v) and cur.is_source(v)]
-        if not doomed:
-            return cur
-        cur = cur.induced(v for v in cur.vertices if v not in doomed)
-
-
-def _remove_one_source(g: Graph, v: str) -> Graph:
-    if not (g.is_regular(v) and g.is_source(v)):
-        raise MoveError(f"{v!r} is not a regular source")
-    return g.induced(w for w in g.vertices if w != v)
+    return _remove_sources(g)[0]
 
 
 def move_T(g: Graph, path) -> Graph:
@@ -327,7 +317,10 @@ def _dispatch(g: Graph, kind: str, params: dict) -> Graph:
     if kind == "O":
         return out_split(g, params["vertex"], Partition.from_json(params["classes"]))
     if kind == "S":
-        return _remove_one_source(g, params["vertex"])
+        v = params["vertex"]
+        if not (g.is_regular(v) and g.is_source(v)):
+            raise MoveError(f"{v!r} is not a regular source")
+        return g.induced(w for w in g.vertices if w != v)
     if kind == "T":
         return move_T(g, params["path"])
     if kind == "COLLAPSE":
@@ -349,6 +342,22 @@ def apply_move(g: Graph, kind: str, params: dict) -> tuple:
         output_hash=out.digest(),
     )
     return out, rec
+
+
+def _remove_sources(g: Graph) -> tuple:
+    """Apply ``S`` at the first regular source until none is left.
+
+    Returns the graph and the move records.  Removing a source changes
+    no other vertex's out-degree, so the graph reached does not depend
+    on the order of removal.
+    """
+    records = []
+    while True:
+        v = next((v for v in g.vertices if g.is_regular(v) and g.is_source(v)), None)
+        if v is None:
+            return g, records
+        g, rec = apply_move(g, "S", {"vertex": v})
+        records.append(rec)
 
 
 def replay(g: Graph, record: MoveRecord) -> Graph:

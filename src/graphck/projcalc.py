@@ -215,8 +215,12 @@ def is_full(g: Graph, seq: ProjectionSequence) -> bool:
     """
     _require_stably_complete(g)
     seq.validate(g)
-    closure = saturate(g, hereditary_closure(g, seq.support()))
-    return closure == frozenset(g.vertices)
+    return _generates(g, seq.support())
+
+
+def _generates(g: Graph, support) -> bool:
+    """Whether the saturated hereditary closure of ``support`` is everything."""
+    return saturate(g, hereditary_closure(g, support)) == frozenset(g.vertices)
 
 
 def head_T(seq: ProjectionSequence, v: str) -> frozenset:
@@ -333,10 +337,6 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
         return seq
 
     everything = frozenset(g.vertices)
-
-    def generates(support) -> bool:
-        return saturate(g, hereditary_closure(g, support)) == everything
-
     head = list(seq.head)
     tail = seq.tail
     prefix: list = []
@@ -351,7 +351,7 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
             raise InternalError("full sequence has no generating prefix")
         support |= prefix[-1].support()
         n += 1
-        if generates(support):
+        if _generates(g, support):
             break
     merged = prefix[0].merge(*prefix[1:]) if prefix else CoefficientSystem.empty()
     rest = head[n:] if n <= len(head) else []
@@ -474,15 +474,26 @@ def _companion_expansion(g: Graph, w: str, targets) -> list:
     return out
 
 
-def _rewrite_terms(c: CoefficientSystem, v: str, expand) -> CoefficientSystem:
-    """Replace every (v, T ≠ ∅) term in ``c`` using ``expand(t, n) -> items``."""
+def _reroute(g: Graph, c: CoefficientSystem, v: str, w: str) -> CoefficientSystem:
+    """Reroute every (v, T ≠ ∅) term of ``c`` through the regular vertex ``w``.
+
+    A term (v, T) ↦ n becomes (v, ∅) ↦ n plus n copies of the companion
+    expansion of the T-edge targets through ``w``.
+    """
     items = []
     for u, t, n in c.terms:
         if u == v and t:
-            items.extend(expand(t, n))
+            items.append((v, (), n))
+            for y, count in _companion_expansion(g, w, [e.dst for e in t]):
+                items.append((y, (), n * count))
         else:
             items.append((u, t, n))
-    return CoefficientSystem.make(items) if items else CoefficientSystem.empty()
+    return CoefficientSystem.make(items)
+
+
+def _dominator(g: Graph, v: str):
+    """First regular vertex dominating ``v``, or None."""
+    return next((w for w in g.vertices if g.is_regular(w) and dominates(g, w, v)), None)
 
 
 def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> ProjectionSequence:
@@ -499,18 +510,13 @@ def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> Project
         raise DomainError(f"{v!r} is not an infinite emitter")
     if not g.supports_loop(v):
         raise DomainError(f"{v!r} does not support a loop")
+    if not head_T(seq, v) and not tail_has_nonempty_T(seq, v):
+        return seq
     w = companion(g, v)
     if w is None:
         raise DomainError(f"no regular vertex shares a cycle with {v!r}")
-
-    def expand(t, n):
-        items = [(v, (), n)]
-        for y, count in _companion_expansion(g, w, [e.dst for e in t]):
-            items.append((y, (), n * count))
-        return items
-
-    head = tuple(_rewrite_terms(c, v, expand) for c in seq.head)
-    tail = _rewrite_terms(seq.tail, v, expand) if seq.tail is not None else None
+    head = tuple(_reroute(g, c, v, w) for c in seq.head)
+    tail = _reroute(g, seq.tail, v, w) if seq.tail is not None else None
     return ProjectionSequence(head, tail)
 
 
@@ -534,9 +540,7 @@ def eliminate_dominated_emitter(
         raise DomainError(f"the total T at {v!r} is infinite")
     if not head_T(seq, v):
         return seq
-    w = next(
-        (w for w in g.vertices if g.is_regular(w) and dominates(g, w, v)), None
-    )
+    w = _dominator(g, v)
     if w is None:
         raise DomainError(f"no regular vertex dominates {v!r}")
 
@@ -548,14 +552,7 @@ def eliminate_dominated_emitter(
         raise DomainError(
             f"the merged prefix has no ({w!r}, ∅) term; run fullify first"
         )
-
-    def expand(t, n):
-        items = [(v, (), n)]
-        for y, count in _companion_expansion(g, w, [e.dst for e in t]):
-            items.append((y, (), n * count))
-        return items
-
-    head = (_rewrite_terms(merged, v, expand),) + seq.head[last + 1 :]
+    head = (_reroute(g, merged, v, w),) + seq.head[last + 1 :]
     return ProjectionSequence(head, seq.tail)
 
 
@@ -578,7 +575,7 @@ def eliminate_undominated_emitter(
         raise DomainError(f"{v!r} is not an infinite emitter")
     if g.supports_loop(v):
         raise DomainError(f"{v!r} supports a loop")
-    if any(g.is_regular(w) and dominates(g, w, v) for w in g.vertices):
+    if _dominator(g, v) is not None:
         raise DomainError(f"{v!r} has a regular dominator; use the dominated rule")
     if tail_has_nonempty_T(seq, v):
         raise DomainError(f"the total T at {v!r} is infinite")
@@ -588,30 +585,21 @@ def eliminate_undominated_emitter(
 
     fresh_used: dict = defaultdict(set)
 
-    def fresh(u: str, dst: str) -> EdgeRef:
+    def fresh(u: str, dst: str, in_template: bool) -> EdgeRef:
         if not g.a(u, dst).is_infinite:
             raise InternalError(
                 f"expected infinitely many parallels from {u!r} to {dst!r}"
             )
-        e = _fresh_parallel_edge(
-            g, seq, u, dst, {EdgeRef(u, dst, i) for i in fresh_used[(u, dst)]}
-        )
-        fresh_used[(u, dst)].add(e.index)
-        return e
-
-    def fresh_for_template(u: str, dst: str) -> EdgeRef:
-        # template additions sit in a consecutive odd run above everything
-        # already used for the pair, so shifted repetitions cannot collide
-        if not g.a(u, dst).is_infinite:
-            raise InternalError(
-                f"expected infinitely many parallels from {u!r} to {dst!r}"
-            )
-        top = max(
-            [e.index for e in _all_indices(seq, u, dst)] + list(fresh_used[(u, dst)]),
-            default=-1,
-        )
-        i = top + 1 if (top + 1) % 2 else top + 2
-        fresh_used[(u, dst)].add(i)
+        used = fresh_used[(u, dst)]
+        if in_template:
+            # template additions sit in a consecutive odd run above everything
+            # already used for the pair, so shifted repetitions cannot collide
+            top = max([e.index for e in _all_indices(seq, u, dst)] + list(used), default=-1)
+            i = top + 1 if (top + 1) % 2 else top + 2
+        else:
+            avoid = {EdgeRef(u, dst, j) for j in used}
+            i = _fresh_parallel_edge(g, seq, u, dst, avoid).index
+        used.add(i)
         return EdgeRef(u, dst, i)
 
     def rewrite(c: CoefficientSystem, in_template: bool) -> CoefficientSystem:
@@ -627,14 +615,11 @@ def eliminate_undominated_emitter(
                 for e in t:
                     if e.dst == v:
                         for f in T:
-                            if in_template:
-                                new_t.append(fresh_for_template(u, f.dst))
-                            else:
-                                new_t.append(fresh(u, f.dst))
+                            new_t.append(fresh(u, f.dst, in_template))
                 items.append((u, new_t, n))
             else:
                 items.append((u, t, n))
-        return CoefficientSystem.make(items) if items else CoefficientSystem.empty()
+        return CoefficientSystem.make(items)
 
     head = tuple(rewrite(c, False) for c in seq.head)
     tail = rewrite(seq.tail, True) if seq.tail is not None else None
@@ -719,15 +704,9 @@ def to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
 
 def _check_partitioned(seq: ProjectionSequence) -> None:
     seen = set()
-    for c in seq.head:
+    tail = (tail_instance(seq, 0),) if seq.tail is not None else ()
+    for c in seq.head + tail:
         for _, t, _ in c.terms:
-            for e in t:
-                if e in seen:
-                    raise DomainError(f"sequence is not partitioned: {e} reused")
-            seen.update(t)
-    if seq.tail is not None:
-        inst = tail_instance(seq, 0)
-        for _, t, _ in inst.terms:
             for e in t:
                 if e in seen:
                     raise DomainError(f"sequence is not partitioned: {e} reused")
@@ -741,9 +720,9 @@ def normalize_multiplicities(g: Graph, m: dict) -> dict:
     vertex with an ∞ multiplicity has a path to v; among the allowed
     rewrites this picks the constant 1.
     """
-    vals = {v: ExtNat.of(m[v]) for v in g.vertices}
     if set(m) != set(g.vertices):
         raise ValidationError("multiplicity vector must cover exactly the vertices")
+    vals = {v: ExtNat.of(m[v]) for v in g.vertices}
     out = {}
     for v in g.vertices:
         shadowed = any(
@@ -759,11 +738,13 @@ def normalize_multiplicities(g: Graph, m: dict) -> dict:
 def corner_pipeline(g: Graph, seq: ProjectionSequence) -> dict:
     """Normalize a full sequence into multiplicities n_v >= 1.
 
-    Runs fullify, make_partitioned, then the three eliminations at every
-    applicable infinite emitter in vertex order, and finally
-    :func:`to_multiplicities`.  The loop and dominated rules preserve
-    the head's K₀ class exactly; the undominated rule twists it by the
-    documented automorphism action.
+    Runs fullify, make_partitioned, then the eliminations in vertex
+    order: the loop rule at every looped infinite emitter; then, among
+    the loopless ones with a finite total T, the dominated rule at those
+    with a regular dominator and the undominated rule at the rest; and
+    finally :func:`to_multiplicities`.  The loop and dominated rules
+    preserve the head's K₀ class exactly; the undominated rule twists it
+    by the documented automorphism action.
     """
     _require_stably_complete(g)
     seq.validate(g)
@@ -775,23 +756,18 @@ def corner_pipeline(g: Graph, seq: ProjectionSequence) -> dict:
     seq = make_partitioned(g, seq)
     for v in g.vertices:
         if g.is_infinite_emitter(v) and g.supports_loop(v):
-            if head_T(seq, v) or tail_has_nonempty_T(seq, v):
-                seq = eliminate_loop_emitter(g, seq, v)
-    for v in g.vertices:
-        if (
-            g.is_infinite_emitter(v)
-            and not g.supports_loop(v)
-            and head_T(seq, v)
-            and not tail_has_nonempty_T(seq, v)
-            and any(g.is_regular(w) and dominates(g, w, v) for w in g.vertices)
-        ):
+            seq = eliminate_loop_emitter(g, seq, v)
+    loopless = [
+        v
+        for v in g.vertices
+        if g.is_infinite_emitter(v)
+        and not g.supports_loop(v)
+        and not tail_has_nonempty_T(seq, v)
+    ]
+    for v in loopless:
+        if _dominator(g, v) is not None:
             seq = eliminate_dominated_emitter(g, seq, v)
-    for v in g.vertices:
-        if (
-            g.is_infinite_emitter(v)
-            and not g.supports_loop(v)
-            and head_T(seq, v)
-            and not tail_has_nonempty_T(seq, v)
-        ):
+    for v in loopless:
+        if _dominator(g, v) is None:
             seq = eliminate_undominated_emitter(g, seq, v)
     return to_multiplicities(g, seq)

@@ -64,6 +64,10 @@ class TestIsStablyComplete:
         report = is_stably_complete(g)
         assert (3, ("v",)) in report.violations
 
+    def test_report_is_kept_with_the_graph(self):
+        g = edge_to_sink()
+        assert is_stably_complete(g) is is_stably_complete(g)
+
 
 class TestCanonicalize:
     def test_already_complete_is_fixed_point(self):

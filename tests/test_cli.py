@@ -2,7 +2,7 @@ import json
 
 from sample_graphs import inf_to_loop, mixed_emitter, two_loops
 
-from graphck import Graph
+from graphck import Graph, MoveRecord, remove_regular_sources, replay
 from graphck.cli import main
 
 
@@ -47,6 +47,34 @@ def test_move_collapse(tmp_path, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["vertices"] == ["x", "y"]
+
+
+def test_move_remove_sources_cascade(tmp_path, capsys):
+    # a is the only source; removing it exposes b, then c; e emits infinitely
+    g = Graph(
+        ["a", "b", "c", "d", "e"],
+        [
+            [0, 1, 1, 0, 0],
+            [0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 0],
+            [0, 0, 0, 1, 0],
+            [0, 0, 0, "inf", 0],
+        ],
+    )
+    trace = tmp_path / "trace.json"
+    code = main(
+        ["move", write_graph(tmp_path, g), "--op", "remove-sources", "--trace", str(trace)]
+    )
+    assert code == 0
+    out = Graph.from_json(json.loads(capsys.readouterr().out))
+    assert out == remove_regular_sources(g)
+    assert list(out.vertices) == ["d", "e"]
+    records = [MoveRecord.from_json(r) for r in json.loads(trace.read_text())]
+    assert [r.params["vertex"] for r in records] == ["a", "b", "c"]
+    cur = g
+    for rec in records:
+        cur = replay(cur, rec)
+    assert cur == out
 
 
 def test_move_error_exit_code(tmp_path, capsys):

@@ -23,6 +23,7 @@ from graphck import (
     is_hereditary,
     is_isomorphic,
     is_saturated,
+    is_stably_complete,
     k_groups,
     make_graph,
     reaches,
@@ -142,13 +143,11 @@ class TestHereditaryClosure:
 class TestUnknownNames:
     def test_closure_and_saturation_reject_unknown_names(self):
         g = edge_to_sink()
-        for fn in (hereditary_closure, is_hereditary, saturate):
+        for fn in (hereditary_closure, is_hereditary, saturate, is_saturated):
             with pytest.raises(NotFoundError):
                 fn(g, {"b", "zz"})
-
-    def test_is_saturated_ignores_unknown_names(self):
-        assert is_saturated(edge_to_sink(), {"zz"})
-        assert not is_saturated(edge_to_sink(), {"b", "zz"})
+            with pytest.raises(NotFoundError):
+                fn(g, {"zz"})
 
 
 class TestSaturate:
@@ -331,6 +330,7 @@ class TestSerialization:
 
     def test_cached_structure_is_invisible(self):
         g = make_graph(["a", "b", "c"], [[1, 1, 0], [0, 2, "inf"], [1, 0, 0]])
+        is_stably_complete(g)
         assert dominates(g, "c", "b")
         k_groups(g)
         digest = g.digest()

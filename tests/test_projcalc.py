@@ -14,6 +14,7 @@ from graphck import (
     DomainError,
     EdgeRef,
     ProjectionSequence,
+    ValidationError,
     corner_pipeline,
     eliminate_dominated_emitter,
     eliminate_loop_emitter,
@@ -51,15 +52,11 @@ class TestCoefficientSystem:
         assert CoefficientSystem.from_json(c.to_json()) == c
 
     def test_nonempty_t_needs_infinite_emitter(self):
-        from graphck import ValidationError
-
         c = sys_of(("w", [("w", "w", 0)], 1))
         with pytest.raises(ValidationError):
             c.validate(inf_to_loop())
 
     def test_rejects_zero_multiplicity(self):
-        from graphck import ValidationError
-
         with pytest.raises(ValidationError):
             sys_of(("v", [], 0))
 
@@ -226,6 +223,11 @@ class TestEliminateLoopEmitter:
         s = seq(sys_of(("v", [], 1)))
         assert eliminate_loop_emitter(g, s, "v") == s
 
+    def test_no_t_anywhere_returns_the_sequence(self):
+        g = looped_pair()
+        s = seq(sys_of(("v", [], 1), ("w", [], 2)), tail=sys_of(("w", [], 1)))
+        assert eliminate_loop_emitter(g, s, "v") is s
+
     def test_no_loop_rejected(self):
         g = inf_to_loop()
         with pytest.raises(DomainError):
@@ -378,6 +380,10 @@ class TestNormalizeMultiplicities:
     def test_single_infinite_unchanged(self):
         g = two_loops()
         assert normalize_multiplicities(g, {"a": INF}) == {"a": INF}
+
+    def test_missing_vertices_rejected(self):
+        with pytest.raises(ValidationError):
+            normalize_multiplicities(inf_to_loop(), {})
 
 
 class TestCornerPipeline:
