@@ -26,11 +26,12 @@ from .errors import InternalError, NotFoundError, ValidationError
 from .graph import (
     EdgeRef,
     Graph,
+    _bits,
     dominates,
     shortest_nonzero_path,
     simple_cycle_count_at,
 )
-from .moves import REMAINDER, Partition, _remove_sources, apply_move
+from .moves import REMAINDER, Partition, _finite_edges, _remove_sources, apply_move
 
 #: Environment variable overriding the column-operation fuel bound.
 FUEL_ENV = "GRAPHCK_FUEL"
@@ -63,22 +64,25 @@ def is_stably_complete(g: Graph) -> StablyCompleteReport:
         for v in g.vertices:
             if g.a(v, v) < 2 and simple_cycle_count_at(g, v) >= 2:
                 violations.append((3, (v,)))
-        for v in g.vertices:
-            if not g.is_infinite_emitter(v):
-                continue
-            for w in g.vertices:
-                if dominates(g, v, w) and not g.a(v, w).is_infinite:
-                    violations.append((4, (v, w)))
-        for v in g.vertices:
-            for w in g.vertices:
-                if dominates(g, v, w) and not g.a(v, w):
-                    violations.append((5, (v, w)))
+        reach, inf = g._reachability().reach, g._emitting().inf
+        for i, v in enumerate(g.vertices):
+            if g.is_infinite_emitter(v):
+                violations.extend((4, (v, g.vertices[j])) for j in _bits(reach[i] & ~inf[i]))
+        violations.extend((5, pair) for pair in _missing_edges(g))
         for v in g.vertices:
             if g.is_infinite_emitter(v) and g.supports_loop(v):
                 if companion(g, v) is None:
                     violations.append((6, (v,)))
         g._report = StablyCompleteReport(not violations, tuple(violations))
     return g._report
+
+
+def _missing_edges(g: Graph):
+    """Pairs (v, w) where v dominates w with no edge v → w, in vertex order."""
+    r = g._reachability()
+    for i, v in enumerate(g.vertices):
+        for j in _bits(r.reach[i] & ~r.succ[i]):
+            yield v, g.vertices[j]
 
 
 def companion(g: Graph, v: str):
@@ -127,10 +131,7 @@ def canonicalize(g: Graph) -> tuple:
     while True:
         cur = pipe.graph
         mixed = [
-            v
-            for v in cur.vertices
-            if cur.is_infinite_emitter(v)
-            and any(m and m.is_finite for m in cur.row(v))
+            v for v in cur.vertices if cur.is_infinite_emitter(v) and _finite_edges(cur, v)
         ]
         if not mixed:
             break
@@ -184,7 +185,7 @@ def _companion_partition(g: Graph, v: str) -> list:
     coincides with direct emission, so picking the index-0 edge toward
     every row target captures one edge per dominated vertex.
     """
-    chosen = frozenset(EdgeRef(v, w, 0) for w in g.vertices if g.a(v, w))
+    chosen = frozenset(EdgeRef(v, w, 0) for w in g.successors(v))
     return Partition((frozenset(chosen), REMAINDER)).to_json()
 
 
@@ -194,14 +195,7 @@ def _repair_missing_edges(pipe: _Pipeline) -> None:
     attempts: dict = {}
     while True:
         cur = pipe.graph
-        pair = None
-        for v in cur.vertices:
-            for w in cur.vertices:
-                if not cur.a(v, w) and dominates(cur, v, w):
-                    pair = (v, w)
-                    break
-            if pair:
-                break
+        pair = next(_missing_edges(cur), None)
         if pair is None:
             return
         attempts[pair] = attempts.get(pair, 0) + 1

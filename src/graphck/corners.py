@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import CannotRealizeError, DomainError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import Graph, dominates, fresh_names, is_hereditary
+from .graph import EdgeRef, Graph, _raw, dominates, fresh_names, is_hereditary
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class CornerGraph:
             raise ValidationError("heads must cover exactly the base vertices, in order")
 
     def head(self, v: str) -> ExtNat:
-        return dict(self.heads)[v]
+        return self.heads[self.base.index(v)][1]
 
     def to_json(self) -> dict:
         return {
@@ -78,11 +78,15 @@ def corner_graph(g: Graph, multiplicities: dict) -> CornerGraph:
     """Corner graph for a multiplicity vector with every n_v >= 1.
 
     Head lengths are n_v - 1; a zero multiplicity would drop a base
-    vertex and is rejected.
+    vertex and is rejected, and so is a multiplicity for a name that is
+    not a vertex.
     """
     missing = [v for v in g.vertices if v not in multiplicities]
     if missing:
         raise ValidationError(f"multiplicities missing for {missing}")
+    extra = [v for v in multiplicities if not g.has_vertex(v)]
+    if extra:
+        raise ValidationError(f"multiplicities for unknown vertices {extra}")
     heads = []
     for v in g.vertices:
         m = ExtNat.of(multiplicities[v])
@@ -98,26 +102,17 @@ def realize(cg: CornerGraph) -> Graph:
         raise CannotRealizeError("infinite heads have no finite expansion")
     base = cg.base
     taken = set(base.vertices)
-    chains = {}
-    for v, h in cg.heads:
-        chains[v] = fresh_names(v, int(h), taken)
-        taken.update(chains[v])
     vertices = list(base.vertices)
-    for v in base.vertices:
-        vertices.extend(chains[v])
-    zero = ExtNat(0)
-    index = {w: i for i, w in enumerate(vertices)}
-    rows = [[zero] * len(vertices) for _ in vertices]
-    for x in base.vertices:
-        for y in base.vertices:
-            rows[index[x]][index[y]] = base.a(x, y)
-    one = ExtNat(1)
-    for v in base.vertices:
-        prev = v
-        for name in chains[v]:
-            rows[index[name]][index[prev]] = one
-            prev = name
-    return Graph(vertices, rows)
+    rows = list(base._rows)
+    for i, (v, h) in enumerate(cg.heads):
+        chain = fresh_names(v, int(h), taken)
+        taken.update(chain)
+        prev = i
+        for name in chain:
+            rows.append({prev: 1})
+            prev = len(vertices)
+            vertices.append(name)
+    return Graph._trusted(tuple(vertices), tuple(rows))
 
 
 def build_EH(g: Graph, H) -> Graph:
@@ -153,31 +148,18 @@ def build_EH(g: Graph, H) -> Graph:
         taken.add(name)
         names.append(name)
 
-    vs = [v for v in g.vertices if v in H] + names
-    zero = ExtNat(0)
-    index = {w: i for i, w in enumerate(vs)}
-    rows = [[zero] * len(vs) for _ in vs]
-    for x in H:
-        for y in H:
-            rows[index[x]][index[y]] = g.a(x, y)
-    one = ExtNat(1)
-    for name, seq in zip(names, paths):
-        rows[index[name]][index[seq[-1].dst]] = one
-    return Graph(vs, rows)
+    core = g.induced(H)
+    rows = core._rows + tuple({core.index(seq[-1].dst): 1} for seq in paths)
+    return Graph._trusted(core.vertices + tuple(names), rows)
 
 
 def _entering_paths(g: Graph, H: frozenset, comp: list) -> list:
     """All edge paths that stay outside H and then cross into it, in DFS order."""
-    from .graph import EdgeRef
-
     out = []
 
     def extend(prefix, at):
-        for w in g.vertices:
-            m = g.a(at, w)
-            if not m:
-                continue
-            count = int(m)  # complement vertices are regular, entries finite
+        for w in g.successors(at):
+            count = int(g.a(at, w))  # complement vertices are regular, entries finite
             for i in range(count):
                 e = EdgeRef(at, w, i)
                 if w in H:
@@ -202,10 +184,5 @@ def unitize(cg: CornerGraph) -> Graph:
     star = "⋆"
     while base.has_vertex(star):
         star += "'"
-    vs = list(base.vertices) + [star]
-    zero = ExtNat(0)
-    rows = []
-    for x in base.vertices:
-        rows.append([base.a(x, y) for y in base.vertices] + [zero])
-    rows.append([cg.head(v) for v in base.vertices] + [zero])
-    return Graph(vs, rows)
+    spokes = {j: _raw(h) for j, (_, h) in enumerate(cg.heads) if h}
+    return Graph._trusted(base.vertices + (star,), base._rows + (spokes,))

@@ -11,7 +11,7 @@ import random
 from .canonical import canonicalize, is_stably_complete
 from .graph import EdgeRef, Graph
 from .ktheory import k_groups
-from .moves import apply_move
+from .moves import _finite_edges, apply_move
 
 DEFAULT_ENTRIES = (0, 0, 0, 1, 1, 2, "inf")
 
@@ -32,16 +32,16 @@ def applicable_moves(g: Graph, rng: random.Random) -> list:
             out.append(("COLLAPSE", {"vertex": v}))
         if g.is_regular(v) and g.is_source(v):
             out.append(("S", {"vertex": v}))
-        if g.is_infinite_emitter(v) and any(m and m.is_finite for m in g.row(v)):
+        if g.is_infinite_emitter(v) and _finite_edges(g, v):
             out.append(("BREAKSPLIT", {"vertex": v}))
     for u in g.vertices:
         if g.is_source(u) or g.out_degree(u) <= 1:
             continue
-        for v in g.vertices:
-            if u != v and g.a(u, v):
+        for v in g.successors(u):
+            if u != v:
                 out.append(("COLADD", {"source": u, "target": v}))
     for v in g.vertices:
-        for w in g.vertices:
+        for w in g.successors(v):
             if g.a(v, w).is_infinite:
                 out.append(("T", {"path": [v, w]}))
                 for x in g.successors(w):
@@ -58,10 +58,9 @@ def _random_split(g: Graph, u: str, rng: random.Random):
     if g.is_sink(u):
         return None
     pool = []
-    for w in g.vertices:
+    for w in g.successors(u):
         m = g.a(u, w)
-        count = 3 if m.is_infinite else int(m)
-        pool.extend(EdgeRef(u, w, i) for i in range(count))
+        pool.extend(EdgeRef(u, w, i) for i in range(3 if m.is_infinite else int(m)))
     if g.is_infinite_emitter(u):
         k = rng.randint(1, max(1, len(pool) // 2))
         chosen = frozenset(rng.sample(pool, k))

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, NotFoundError, ValidationError
-from .extnat import ExtNat
+from .extnat import INF, ExtNat
 
 
 class EdgeRef(NamedTuple):
@@ -44,21 +44,66 @@ class EdgeRef(NamedTuple):
         return EdgeRef(str(src), str(dst), idx)
 
 
-class Graph:
-    """Immutable directed multigraph over a finite vertex list."""
+#: ∞ as a multiplicity in a sparse row; finite multiplicities are plain ints.
+_INF = math.inf
 
-    # ``_reach``, ``_emission``, ``_snf``, ``_report`` and ``_digest`` are
-    # filled on first query (by this module, ktheory and canonical); they are
-    # derived from the adjacency, so identity, hashing and serialization
-    # ignore them.
+#: Shared ``ExtNat`` values for the multiplicities read most at the API.
+_SMALL = tuple(ExtNat(k) for k in range(256))
+
+
+def _ext(m) -> ExtNat:
+    """The ``ExtNat`` of a stored multiplicity."""
+    try:
+        return _SMALL[m]
+    except TypeError:  # the float _INF
+        return INF
+    except IndexError:
+        return ExtNat(m)
+
+
+def _raw(x):
+    """The stored form of an int, an ``ExtNat`` or ``"inf"``; DomainError otherwise."""
+    if type(x) is int and x >= 0:
+        return x
+    x = ExtNat.of(x)
+    return _INF if x.is_infinite else int(x)
+
+
+def _vertex_names(vertices) -> tuple:
+    vs = tuple(str(v) for v in vertices)
+    if len(set(vs)) != len(vs):
+        raise ValidationError("duplicate vertex names")
+    return vs
+
+
+def _with(row: dict, j: int, m) -> dict:
+    """A copy of a sparse row with column ``j`` set to ``m``, in column order."""
+    out = dict(row)
+    out[j] = m
+    return {k: x for k, x in sorted(out.items()) if x}
+
+
+class Graph:
+    """Immutable directed multigraph over a finite vertex list.
+
+    Each row is stored sparsely: a dict from column position to
+    multiplicity holding only the nonzero entries, in column order, with
+    plain ints for finite multiplicities and ``_INF`` for ∞.  ``ExtNat``
+    values appear only at the API (``a``, ``row``, the degrees and the
+    dense ``adjacency`` view) and JSON boundary.
+    """
+
+    # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
+    # ``_digest`` are filled on first query (by this module, ktheory and
+    # canonical); they are derived from the rows, so identity, hashing and
+    # serialization ignore them.
     __slots__ = (
-        "vertices", "adjacency", "_pos", "_reach", "_emission", "_snf", "_report", "_digest"
+        "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
+        "_digest",
     )
 
     def __init__(self, vertices: Sequence[str], adjacency: Sequence[Sequence]):
-        vs = tuple(str(v) for v in vertices)
-        if len(set(vs)) != len(vs):
-            raise ValidationError("duplicate vertex names")
+        vs = _vertex_names(vertices)
         rows = []
         if len(adjacency) != len(vs):
             raise ValidationError(
@@ -70,23 +115,44 @@ class Graph:
                     f"adjacency row of length {len(row)} for {len(vs)} vertices"
                 )
             try:
-                rows.append(tuple(ExtNat.of(x) for x in row))
+                rows.append({j: m for j, m in enumerate(map(_raw, row)) if m})
             except DomainError as exc:
                 raise ValidationError(str(exc)) from exc
-        self.vertices = vs
-        self.adjacency = tuple(rows)
-        self._pos = {v: i for i, v in enumerate(vs)}
-        self._reach = None
-        self._emission = None
-        self._snf = None
-        self._report = None
-        self._digest = None
+        self._fill(vs, tuple(rows))
+
+    @classmethod
+    def _trusted(cls, vertices: tuple, rows: tuple) -> "Graph":
+        """Build from distinct names and valid sparse rows, without checking them."""
+        g = object.__new__(cls)
+        g._fill(vertices, rows)
+        return g
+
+    def _fill(self, vertices: tuple, rows: tuple) -> None:
+        self.vertices = vertices
+        self._rows = rows
+        self._pos = {v: i for i, v in enumerate(vertices)}
+        self._reach = self._emission = self._degrees = None
+        self._snf = self._report = self._digest = None
 
     # -- basic access --------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def adjacency(self) -> tuple:
+        """The dense matrix of ``ExtNat`` entries, built on every call in O(n²).
+
+        A view for oracles and tests; the library reads the sparse rows.
+        """
+        return tuple(map(self._dense, self._rows))
+
+    def _dense(self, row: dict) -> tuple:
+        out = [_SMALL[0]] * len(self.vertices)
+        for j, m in row.items():
+            out[j] = _ext(m)
+        return tuple(out)
 
     def index(self, v: str) -> int:
         try:
@@ -98,71 +164,74 @@ class Graph:
         return v in self._pos
 
     def a(self, u: str, v: str) -> ExtNat:
-        return self.adjacency[self.index(u)][self.index(v)]
+        return _ext(self._mult(u, v))
+
+    def _mult(self, u: str, v: str):
+        """The multiplicity of ``u → v`` as stored: an int, or ``_INF``."""
+        return self._rows[self.index(u)].get(self.index(v), 0)
 
     def row(self, v: str) -> tuple:
-        return self.adjacency[self.index(v)]
+        return self._dense(self._rows[self.index(v)])
 
     def out_degree(self, v: str) -> ExtNat:
-        total = ExtNat(0)
-        for x in self.row(v):
-            total = total + x
-        return total
+        return _ext(self._degs().out[self.index(v)])
 
     def in_degree(self, v: str) -> ExtNat:
-        j = self.index(v)
-        total = ExtNat(0)
-        for row in self.adjacency:
-            total = total + row[j]
-        return total
+        return _ext(self._degs().into[self.index(v)])
+
+    def _kind(self, v: str) -> str:
+        return self._degs().kind[self.index(v)]
 
     def is_sink(self, v: str) -> bool:
-        return not any(self.row(v))
+        return not self._rows[self.index(v)]
 
     def is_infinite_emitter(self, v: str) -> bool:
-        return self.out_degree(v).is_infinite
+        return self._kind(v) == "infinite-emitter"
 
     def is_regular(self, v: str) -> bool:
-        d = self.out_degree(v)
-        return d.is_finite and bool(d)
+        return self._kind(v) == "regular"
 
     def is_source(self, v: str) -> bool:
-        return not bool(self.in_degree(v))
+        return not self._degs().into[self.index(v)]
 
     def supports_loop(self, v: str) -> bool:
-        return bool(self.a(v, v))
+        i = self.index(v)
+        return i in self._rows[i]
 
     def successors(self, v: str) -> tuple:
-        row = self.row(v)
-        return tuple(w for w, x in zip(self.vertices, row) if x)
+        return tuple(map(self.vertices.__getitem__, self._rows[self.index(v)]))
 
     def predecessors(self, v: str) -> tuple:
         j = self.index(v)
-        return tuple(u for u, row in zip(self.vertices, self.adjacency) if row[j])
+        return tuple(u for u, row in zip(self.vertices, self._rows) if j in row)
 
     def edge_valid(self, e: EdgeRef) -> bool:
         if not (self.has_vertex(e.src) and self.has_vertex(e.dst)) or e.index < 0:
             return False
-        m = self.a(e.src, e.dst)
-        return m.is_infinite or e.index < int(m)
+        return e.index < self._mult(e.src, e.dst)
 
     def edges_from(self, v: str) -> tuple:
         """All out-edges of a finite emitter, in positional order."""
         if self.is_infinite_emitter(v):
             raise DomainError(f"cannot enumerate the edges of infinite emitter {v!r}")
-        out = []
-        for w, m in zip(self.vertices, self.row(v)):
-            out.extend(EdgeRef(v, w, i) for i in range(int(m)))
-        return tuple(out)
+        vs = self.vertices
+        return tuple(
+            EdgeRef(v, vs[j], i) for j, m in self._rows[self.index(v)].items() for i in range(m)
+        )
+
+    def _degs(self) -> "_Degrees":
+        if self._degrees is None:
+            self._degrees = _degrees_of(self._rows)
+        return self._degrees
 
     def _reachability(self) -> "_Reach":
         if self._reach is None:
-            self._reach = _reach_of(self.adjacency)
+            self._reach = _reach_of(self._rows)
         return self._reach
 
     def _emitting(self) -> "_Emission":
         if self._emission is None:
-            self._emission = _emission_of(self.adjacency, self._reachability().succ)
+            self._emission = _emission_of(self._rows, self._reachability().succ)
         return self._emission
 
     # -- identity ------------------------------------------------------
@@ -170,38 +239,38 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.adjacency == other.adjacency
+        return self.vertices == other.vertices and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.vertices, self.adjacency))
+        return hash((self.vertices, tuple(tuple(row.items()) for row in self._rows)))
 
     def __repr__(self):
         return f"Graph({list(self.vertices)!r}, {self.n}x{self.n})"
 
     # -- derived graphs -------------------------------------------------
 
-    def to_lists(self) -> list:
-        """Mutable copy of the adjacency, for building derived graphs."""
-        return [list(row) for row in self.adjacency]
-
     def induced(self, keep: Iterable[str]) -> "Graph":
         """Induced subgraph on ``keep``, preserving this graph's vertex order."""
         keep = set(keep)
-        vs = [v for v in self.vertices if v in keep]
-        idx = [self.index(v) for v in vs]
-        rows = [[self.adjacency[i][j] for j in idx] for i in idx]
-        return Graph(vs, rows)
+        idx = [i for i, v in enumerate(self.vertices) if v in keep]
+        new = {i: k for k, i in enumerate(idx)}
+        rows = tuple({new[j]: m for j, m in self._rows[i].items() if j in new} for i in idx)
+        return Graph._trusted(tuple(self.vertices[i] for i in idx), rows)
 
     def relabeled(self, mapping: dict) -> "Graph":
-        return Graph([mapping.get(v, v) for v in self.vertices], self.adjacency)
+        vs = _vertex_names([mapping.get(v, v) for v in self.vertices])
+        return Graph._trusted(vs, self._rows)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "adjacency": [[x.to_json() for x in row] for row in self.adjacency],
-        }
+        adjacency = []
+        for row in self._rows:
+            out = [0] * self.n
+            for j, m in row.items():
+                out[j] = "inf" if m == _INF else m
+            adjacency.append(out)
+        return {"vertices": list(self.vertices), "adjacency": adjacency}
 
     @staticmethod
     def from_json(data) -> "Graph":
@@ -228,11 +297,10 @@ class Graph:
         lines = [f"digraph {name} {{"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
-        for u in self.vertices:
-            for w, m in zip(self.vertices, self.row(u)):
-                if m:
-                    label = "∞" if m.is_infinite else str(int(m))
-                    lines.append(f'  "{u}" -> "{w}" [label="{label}"];')
+        for u, row in zip(self.vertices, self._rows):
+            for j, m in row.items():
+                label = "∞" if m == _INF else str(m)
+                lines.append(f'  "{u}" -> "{self.vertices[j]}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -269,15 +337,8 @@ def vertex_class(g: Graph, v: str) -> VertexClass:
     A vertex is regular when it emits finitely many edges and at least
     one, a sink when it emits none, and an infinite emitter otherwise.
     """
-    d = g.out_degree(v)
-    if d.is_infinite:
-        kind = "infinite-emitter"
-    elif bool(d):
-        kind = "regular"
-    else:
-        kind = "sink"
     return VertexClass(
-        kind=kind,
+        kind=g._kind(v),
         is_source=g.is_source(v),
         supports_loop=g.supports_loop(v),
         loop_count=g.a(v, v),
@@ -291,11 +352,29 @@ class _Reach(NamedTuple):
     reach: list  # bit j of reach[i]: a path of length >= 1 from i to j
 
 
-def _reach_of(adjacency) -> _Reach:
+class _Degrees(NamedTuple):
+    """Stored degrees and the kind of every vertex, by position."""
+
+    out: list  # an int, or _INF
+    into: list  # an int, or _INF
+    kind: list  # "regular" | "sink" | "infinite-emitter"
+
+
+def _degrees_of(rows) -> _Degrees:
+    into = [0] * len(rows)
+    for row in rows:
+        for j, m in row.items():
+            into[j] += m
+    out = [sum(row.values()) for row in rows]
+    kind = ["infinite-emitter" if d == _INF else "regular" if d else "sink" for d in out]
+    return _Degrees(out, into, kind)
+
+
+def _reach_of(rows) -> _Reach:
     """Successor masks and their transitive closure (Warshall, one mask per row)."""
-    n = len(adjacency)
+    n = len(rows)
     bits = [1 << j for j in range(n)]
-    succ = [sum(compress(bits, row)) for row in adjacency]
+    succ = [sum(map(bits.__getitem__, row)) for row in rows]
     reach = succ[:]
     for k in range(n):
         bit, through = bits[k], reach[k]
@@ -316,9 +395,9 @@ class _Emission(NamedTuple):
     regular: int  # bit i: i emits finitely many edges, and at least one
 
 
-def _emission_of(adjacency, succ) -> _Emission:
-    bits = [1 << j for j in range(len(adjacency))]
-    inf = [sum(compress(bits, [x.is_infinite for x in row])) for row in adjacency]
+def _emission_of(rows, succ) -> _Emission:
+    bits = [1 << j for j in range(len(rows))]
+    inf = [sum(bits[j] for j, m in row.items() if m == _INF) for row in rows]
     return _Emission(inf, sum(b for b, s, i in zip(bits, succ, inf) if s and not i))
 
 
@@ -459,7 +538,7 @@ def simple_cycle_count_at(g: Graph, v: str) -> int:
     mask = sum(1 << j for j in comp)
     for j in comp:
         inner = r.succ[j] & mask
-        if inner & (inner - 1) or g.adjacency[j][inner.bit_length() - 1] != 1:
+        if inner & (inner - 1) or g._rows[j][inner.bit_length() - 1] != 1:
             return 2
     return 1
 
@@ -467,33 +546,35 @@ def simple_cycle_count_at(g: Graph, v: str) -> int:
 def condition_K(g: Graph) -> bool:
     """True when every vertex has either no cycle or at least two simple cycles."""
     for v in g.vertices:
-        if g.a(v, v) >= 2:
+        if g._mult(v, v) >= 2:
             continue
         if simple_cycle_count_at(g, v) == 1:
             return False
     return True
 
 
-def _entry_key(x: ExtNat):
-    return (x.is_infinite, int(x) if x.is_finite else 0)
+def _signatures(g: Graph) -> list:
+    """Per vertex: its sorted nonzero out-entries and in-entries, and its loop count.
 
-
-def _signature(g: Graph, i: int):
-    row = g.adjacency[i]
-    col = tuple(g.adjacency[j][i] for j in range(g.n))
-    return (
-        tuple(sorted(_entry_key(x) for x in row)),
-        tuple(sorted(_entry_key(x) for x in col)),
-        _entry_key(row[i]),
-    )
+    Between graphs with equal vertex counts these determine the sorted
+    dense row and column.
+    """
+    cols = [{} for _ in range(g.n)]
+    for i, row in enumerate(g._rows):
+        for j, m in row.items():
+            cols[j][i] = m
+    return [
+        (sorted(row.values()), sorted(col.values()), row.get(i, 0))
+        for i, (row, col) in enumerate(zip(g._rows, cols))
+    ]
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Graph isomorphism on adjacency matrices (edge indices are ignored)."""
     if g1.n != g2.n:
         return False
-    sig1 = [_signature(g1, i) for i in range(g1.n)]
-    sig2 = [_signature(g2, i) for i in range(g2.n)]
+    rows1, rows2 = g1._rows, g2._rows
+    sig1, sig2 = _signatures(g1), _signatures(g2)
     if sorted(sig1) != sorted(sig2):
         return False
     candidates = [
@@ -505,11 +586,11 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 
     def ok(i: int, j: int) -> bool:
         for i2, j2 in assign.items():
-            if g1.adjacency[i][i2] != g2.adjacency[j][j2]:
+            if rows1[i].get(i2, 0) != rows2[j].get(j2, 0):
                 return False
-            if g1.adjacency[i2][i] != g2.adjacency[j2][j]:
+            if rows1[i2].get(i, 0) != rows2[j2].get(j, 0):
                 return False
-        return g1.adjacency[i][i] == g2.adjacency[j][j]
+        return rows1[i].get(i, 0) == rows2[j].get(j, 0)
 
     def backtrack(k: int) -> bool:
         if k == len(order):

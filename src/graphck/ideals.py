@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .extnat import ExtNat
 from .graph import (
     Graph,
     _bits,
@@ -179,16 +178,7 @@ def restriction_graph(g: Graph, pair: AdmissiblePair) -> Graph:
         raise DomainError("H is not saturated hereditary")
     if not S <= breaking_vertices(g, H):
         raise DomainError("S contains non-breaking vertices")
-    keep = [v for v in g.vertices if v in H | S]
-    rows = []
-    for x in keep:
-        row = []
-        for y in keep:
-            if x in H and y in H:
-                row.append(g.a(x, y))
-            elif x in S and y in H:
-                row.append(g.a(x, y))
-            else:
-                row.append(ExtNat(0))
-        rows.append(row)
-    return Graph(keep, rows)
+    sub = g.induced(H | S)
+    h = _mask(sub, H)
+    rows = tuple({j: m for j, m in row.items() if h >> j & 1} for row in sub._rows)
+    return Graph._trusted(sub.vertices, rows)

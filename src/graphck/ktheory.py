@@ -53,13 +53,15 @@ class K0Class:
 
 def reg_matrix(g: Graph) -> Matrix:
     """The relation matrix: one column per regular vertex, rows over all vertices."""
-    regs = [v for v in g.vertices if g.is_regular(v)]
     cols = []
-    for v in regs:
-        col = [int(x) for x in g.row(v)]
-        col[g.index(v)] -= 1
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(regs))] for i in range(g.n)]
+    for i, v in enumerate(g.vertices):
+        if g.is_regular(v):
+            col = [0] * g.n
+            for j, m in g._rows[i].items():
+                col[j] = m
+            col[i] -= 1
+            cols.append(col)
+    return [[col[i] for col in cols] for i in range(g.n)]
 
 
 def _identity(n: int) -> Matrix:

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MoveError, ValidationError
-from .extnat import INF, ExtNat
-from .graph import EdgeRef, Graph, fresh_names
+from .graph import _INF, EdgeRef, Graph, _with, fresh_names
 
 
 class _Remainder:
@@ -87,7 +86,7 @@ def _check_partition(g: Graph, u: str, p: Partition):
     """Validate ``p`` against the out-edges of ``u``; returns per-class counts.
 
     Returns a list parallel to ``p.entries`` whose items are dicts
-    ``target -> count`` (ExtNat for the remainder class).
+    ``target -> count``, counts as stored in sparse rows.
     """
     if g.is_sink(u):
         raise MoveError(f"cannot out-split the sink {u!r}")
@@ -118,20 +117,18 @@ def _check_partition(g: Graph, u: str, p: Partition):
     remainder = {}
     has_rest = False
     for w in g.vertices:
-        m = g.a(u, w)
-        if m.is_finite and used[w] > int(m):
+        m = g._mult(u, w)
+        if used[w] > m:
             raise MoveError(f"partition uses more edges toward {w!r} than exist")
-        rest = INF if m.is_infinite else ExtNat(int(m) - used[w])
-        remainder[w] = rest
-    rest_total = sum((int(x) for x in remainder.values() if x.is_finite), 0)
-    rest_inf = any(x.is_infinite for x in remainder.values())
+        remainder[w] = m - used[w]
+    rest = sum(remainder.values())
     for i, c in enumerate(p.entries):
         if isinstance(c, _Remainder):
             has_rest = True
-            if rest_total == 0 and not rest_inf:
+            if not rest:
                 raise MoveError("remainder class is empty")
             counts[i] = remainder
-    if not has_rest and (rest_inf or rest_total > 0):
+    if not has_rest and rest:
         raise MoveError("partition does not cover all out-edges and has no remainder")
     return counts
 
@@ -144,25 +141,27 @@ def out_split(g: Graph, u: str, p: Partition) -> Graph:
     class that looped at ``u`` now emit one copy toward every u^j.
     """
     counts = _check_partition(g, u, p)
-    n = len(p.entries)
-    others = [v for v in g.vertices if v != u]
-    names = fresh_names(u, n, others)
+    k = len(p.entries)
+    names = fresh_names(u, k, [v for v in g.vertices if v != u])
     pos = g.index(u)
-    new_vertices = list(g.vertices[:pos]) + names + list(g.vertices[pos + 1 :])
 
-    def entry(x: str, y: str) -> ExtNat:
-        if x in names:
-            i = names.index(x)
-            c = counts[i]
-            if y in names:
-                return ExtNat.of(c.get(u, 0))
-            return ExtNat.of(c.get(y, 0))
-        if y in names:
-            return g.a(x, u)
-        return g.a(x, y)
+    def spread(row: dict) -> dict:
+        """A row over the new vertices: column ``u`` repeats at every u^j."""
+        out = {}
+        for j, m in row.items():
+            if j < pos:
+                out[j] = m
+            elif j == pos:
+                out.update(dict.fromkeys(range(pos, pos + k), m))
+            else:
+                out[j + k - 1] = m
+        return out
 
-    rows = [[entry(x, y) for y in new_vertices] for x in new_vertices]
-    return Graph(new_vertices, rows)
+    rows = [spread(row) for row in g._rows]
+    rows[pos : pos + 1] = [
+        spread(dict(sorted((g.index(y), m) for y, m in c.items() if m))) for c in counts
+    ]
+    return Graph._trusted(g.vertices[:pos] + tuple(names) + g.vertices[pos + 1 :], tuple(rows))
 
 
 def collapse(g: Graph, u: str) -> Graph:
@@ -173,11 +172,21 @@ def collapse(g: Graph, u: str) -> Graph:
         raise MoveError(f"{u!r} supports a loop")
     if g.is_source(u):
         raise MoveError(f"{u!r} is a source")
-    keep = [v for v in g.vertices if v != u]
+    pos = g.index(u)
+    through = g._rows[pos]
     rows = []
-    for x in keep:
-        rows.append([g.a(x, y) + g.a(x, u) * g.a(u, y) for y in keep])
-    return Graph(keep, rows)
+    for i, row in enumerate(g._rows):
+        if i == pos:
+            continue
+        new = {j - (j > pos): m for j, m in row.items() if j != pos}
+        via = row.get(pos)
+        if via:
+            for j, m in through.items():
+                k = j - (j > pos)
+                new[k] = new.get(k, 0) + via * m
+            new = dict(sorted(new.items()))
+        rows.append(new)
+    return Graph._trusted(g.vertices[:pos] + g.vertices[pos + 1 :], tuple(rows))
 
 
 def remove_regular_sources(g: Graph) -> Graph:
@@ -202,9 +211,10 @@ def move_T(g: Graph, path) -> Graph:
             raise MoveError(f"no edge from {a!r} to {b!r} along the path")
     if not g.a(path[0], path[1]).is_infinite:
         raise MoveError("the first edge of the path must have infinitely many parallels")
-    rows = g.to_lists()
-    rows[g.index(path[0])][g.index(path[-1])] = INF
-    return Graph(g.vertices, rows)
+    rows = list(g._rows)
+    i = g.index(path[0])
+    rows[i] = _with(rows[i], g.index(path[-1]), _INF)
+    return Graph._trusted(g.vertices, tuple(rows))
 
 
 def column_add(g: Graph, u: str, v: str) -> Graph:
@@ -227,14 +237,14 @@ def column_add(g: Graph, u: str, v: str) -> Graph:
         raise MoveError(f"{u!r} is a source; the move cannot be realized")
     if g.out_degree(u) <= 1:
         raise MoveError(f"{u!r} has out-degree one; the move cannot be realized")
-    rows = g.to_lists()
-    j = g.index(v)
-    for i, x in enumerate(g.vertices):
-        new = g.adjacency[i][j] + g.a(x, u)
-        if x == u:
-            new = new.dec()
-        rows[i][j] = new
-    return Graph(g.vertices, rows)
+    rows = list(g._rows)
+    iu, j = g.index(u), g.index(v)
+    for i, row in enumerate(g._rows):
+        old = row.get(j, 0)
+        new = old + row.get(iu, 0) - (i == iu)
+        if new != old:
+            rows[i] = _with(row, j, new)
+    return Graph._trusted(g.vertices, tuple(rows))
 
 
 def column_ops_along_path(g: Graph, path) -> Graph:
@@ -267,14 +277,18 @@ def split_breaking(g: Graph, u: str) -> Graph:
     """
     if not g.is_infinite_emitter(u):
         raise MoveError(f"{u!r} is not an infinite emitter")
-    finite_part = []
-    for w in g.vertices:
-        m = g.a(u, w)
-        if m and m.is_finite:
-            finite_part.extend(EdgeRef(u, w, i) for i in range(int(m)))
+    finite_part = _finite_edges(g, u)
     if not finite_part:
         return g
     return out_split(g, u, Partition((REMAINDER, frozenset(finite_part))))
+
+
+def _finite_edges(g: Graph, u: str) -> list:
+    """The edges of ``u`` in finitely-parallel families, in positional order."""
+    vs = g.vertices
+    return [
+        EdgeRef(u, vs[j], i) for j, m in g._rows[g.index(u)].items() if m != _INF for i in range(m)
+    ]
 
 
 # -- provenance -------------------------------------------------------------

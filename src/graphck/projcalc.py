@@ -218,6 +218,12 @@ def is_full(g: Graph, seq: ProjectionSequence) -> bool:
     return _generates(g, seq.support())
 
 
+def _require_full(g: Graph, seq: ProjectionSequence) -> None:
+    """The guard of the steps that need a full sequence on a stably complete graph."""
+    if not is_full(g, seq):
+        raise DomainError("sequence is not full")
+
+
 def _generates(g: Graph, support) -> bool:
     """Whether the saturated hereditary closure of ``support`` is everything."""
     return saturate(g, hereditary_closure(g, support)) == frozenset(g.vertices)
@@ -256,6 +262,10 @@ def make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     Fullness is unaffected: terms keep their (src, dst) profile.
     """
     seq.validate(g)
+    return _make_partitioned(g, seq)
+
+
+def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     used = defaultdict(set)
 
     def alloc(e: EdgeRef) -> EdgeRef:
@@ -330,9 +340,11 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     edge toward v and adds the term (v, ∅).  Both rewrites preserve the
     K₀ class of the head exactly.
     """
-    _require_stably_complete(g)
-    if not is_full(g, seq):
-        raise DomainError("sequence is not full")
+    _require_full(g, seq)
+    return _fullify(g, seq)
+
+
+def _fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     if not g.vertices:
         return seq
 
@@ -359,16 +371,16 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     terms = {(v, t): m for v, t, m in merged.terms}
     covered = {v for v, _, _ in merged.terms}
     while covered != everything:
-        step = None
-        for v in g.vertices:
-            if v in covered:
-                continue
-            for w in g.vertices:
-                if w in covered and g.a(w, v):
-                    step = (w, v)
-                    break
-            if step:
-                break
+        step = next(
+            (
+                (w, v)
+                for v in g.vertices
+                if v not in covered
+                for w in g.predecessors(v)
+                if w in covered
+            ),
+            None,
+        )
         if step is None:
             raise InternalError("coverage cannot grow despite fullness")
         w, v = step
@@ -510,6 +522,10 @@ def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> Project
         raise DomainError(f"{v!r} is not an infinite emitter")
     if not g.supports_loop(v):
         raise DomainError(f"{v!r} does not support a loop")
+    return _eliminate_loop_emitter(g, seq, v)
+
+
+def _eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> ProjectionSequence:
     if not head_T(seq, v) and not tail_has_nonempty_T(seq, v):
         return seq
     w = companion(g, v)
@@ -538,12 +554,18 @@ def eliminate_dominated_emitter(
         raise DomainError(f"{v!r} supports a loop")
     if tail_has_nonempty_T(seq, v):
         raise DomainError(f"the total T at {v!r} is infinite")
+    w = _dominator(g, v)
+    if w is None and head_T(seq, v):
+        raise DomainError(f"no regular vertex dominates {v!r}")
+    return _eliminate_dominated_emitter(g, seq, v, w)
+
+
+def _eliminate_dominated_emitter(
+    g: Graph, seq: ProjectionSequence, v: str, w: str
+) -> ProjectionSequence:
+    """Reroute the T sets at ``v`` through its regular dominator ``w``."""
     if not head_T(seq, v):
         return seq
-    w = _dominator(g, v)
-    if w is None:
-        raise DomainError(f"no regular vertex dominates {v!r}")
-
     last = max(
         i for i, c in enumerate(seq.head) if any(u == v and t for u, t, _ in c.terms)
     )
@@ -579,6 +601,12 @@ def eliminate_undominated_emitter(
         raise DomainError(f"{v!r} has a regular dominator; use the dominated rule")
     if tail_has_nonempty_T(seq, v):
         raise DomainError(f"the total T at {v!r} is infinite")
+    return _eliminate_undominated_emitter(g, seq, v)
+
+
+def _eliminate_undominated_emitter(
+    g: Graph, seq: ProjectionSequence, v: str
+) -> ProjectionSequence:
     T = tuple(sorted(head_T(seq, v)))
     if not T:
         return seq
@@ -662,12 +690,12 @@ def to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
       reaching v,
     * n_v = 1 otherwise.
     """
-    _require_stably_complete(g)
-    seq.validate(g)
-    if not is_full(g, seq):
-        raise DomainError("sequence is not full")
-    _check_partitioned(seq)
+    _require_full(g, seq)
+    return _to_multiplicities(g, seq)
 
+
+def _to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
+    _check_partitioned(seq)
     t_nonempty = {}
     t_infinite = {}
     for v in g.vertices:
@@ -746,17 +774,14 @@ def corner_pipeline(g: Graph, seq: ProjectionSequence) -> dict:
     preserve the head's K₀ class exactly; the undominated rule twists it
     by the documented automorphism action.
     """
-    _require_stably_complete(g)
-    seq.validate(g)
-    if not is_full(g, seq):
-        raise DomainError("sequence is not full")
+    _require_full(g, seq)
     if not g.vertices:
         return {}
-    seq = fullify(g, seq)
-    seq = make_partitioned(g, seq)
+    # each step's input is the previous step's output: checked once, above
+    seq = _make_partitioned(g, _fullify(g, seq))
     for v in g.vertices:
         if g.is_infinite_emitter(v) and g.supports_loop(v):
-            seq = eliminate_loop_emitter(g, seq, v)
+            seq = _eliminate_loop_emitter(g, seq, v)
     loopless = [
         v
         for v in g.vertices
@@ -764,10 +789,11 @@ def corner_pipeline(g: Graph, seq: ProjectionSequence) -> dict:
         and not g.supports_loop(v)
         and not tail_has_nonempty_T(seq, v)
     ]
+    dominators = {v: _dominator(g, v) for v in loopless}
     for v in loopless:
-        if _dominator(g, v) is not None:
-            seq = eliminate_dominated_emitter(g, seq, v)
+        if dominators[v] is not None:
+            seq = _eliminate_dominated_emitter(g, seq, v, dominators[v])
     for v in loopless:
-        if _dominator(g, v) is None:
-            seq = eliminate_undominated_emitter(g, seq, v)
-    return to_multiplicities(g, seq)
+        if dominators[v] is None:
+            seq = _eliminate_undominated_emitter(g, seq, v)
+    return _to_multiplicities(g, seq)

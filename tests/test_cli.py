@@ -213,6 +213,13 @@ def test_multiplicities_not_an_object_is_one_error_line(tmp_path, capsys):
     assert _one_error_line(capsys)
 
 
+def test_multiplicities_for_unknown_vertex_is_one_error_line(tmp_path, capsys):
+    gpath = write_graph(tmp_path, inf_to_loop())
+    argv = ["corner", gpath, "--multiplicities", '{"v": 1, "w": 1, "c": 2}']
+    assert main(argv) == 1
+    assert _one_error_line(capsys)
+
+
 def test_unitize_on_plain_graph_is_one_error_line(tmp_path, capsys):
     assert main(["unitize", write_graph(tmp_path, two_loops())]) == 1
     assert _one_error_line(capsys)

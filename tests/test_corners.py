@@ -57,6 +57,12 @@ class TestCornerGraph:
         with pytest.raises(ValidationError):
             corner_graph(edge_to_sink(), {"a": 1})
 
+    def test_unknown_vertex_rejected(self):
+        from graphck import ValidationError
+
+        with pytest.raises(ValidationError, match="unknown vertices \\['typo'\\]"):
+            corner_graph(two_loops(), {"a": 1, "typo": 2})
+
     def test_json_round_trip(self):
         cg = corner_graph(inf_to_loop(), {"v": INF, "w": 3})
         assert CornerGraph.from_json(cg.to_json()) == cg
