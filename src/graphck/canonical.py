@@ -31,7 +31,7 @@ from .graph import (
     shortest_nonzero_path,
     simple_cycle_count_at,
 )
-from .moves import REMAINDER, Partition, _finite_edges, _remove_sources, apply_move
+from .moves import REMAINDER, Partition, _exhaust, _finite_edges, _remove_sources, apply_move
 
 #: Environment variable overriding the column-operation fuel bound.
 FUEL_ENV = "GRAPHCK_FUEL"
@@ -57,24 +57,31 @@ def is_stably_complete(g: Graph) -> StablyCompleteReport:
     Computed on first use and kept with the graph, which is immutable.
     """
     if g._report is None:
-        violations = []
-        for v in g.vertices:
-            if g.is_regular(v) and not g.supports_loop(v):
-                violations.append((2, (v,)))
-        for v in g.vertices:
-            if g.a(v, v) < 2 and simple_cycle_count_at(g, v) >= 2:
-                violations.append((3, (v,)))
+        violations = [(2, (v,)) for v in g.vertices if _lacks_loop(g, v)]
+        violations += [(3, (v,)) for v in g.vertices if _needs_second_loop(g, v)]
         reach, inf = g._reachability().reach, g._emitting().inf
         for i, v in enumerate(g.vertices):
             if g.is_infinite_emitter(v):
                 violations.extend((4, (v, g.vertices[j])) for j in _bits(reach[i] & ~inf[i]))
         violations.extend((5, pair) for pair in _missing_edges(g))
-        for v in g.vertices:
-            if g.is_infinite_emitter(v) and g.supports_loop(v):
-                if companion(g, v) is None:
-                    violations.append((6, (v,)))
+        violations += [(6, (v,)) for v in g.vertices if _lacks_companion(g, v)]
         g._report = StablyCompleteReport(not violations, tuple(violations))
     return g._report
+
+
+def _lacks_loop(g: Graph, v: str) -> bool:
+    """Condition 2 fails at ``v``: a regular vertex without a loop."""
+    return g.is_regular(v) and not g.supports_loop(v)
+
+
+def _needs_second_loop(g: Graph, v: str) -> bool:
+    """Condition 3 fails at ``v``: two simple cycles but fewer than two loops."""
+    return g._mult(v, v) < 2 and simple_cycle_count_at(g, v) >= 2
+
+
+def _lacks_companion(g: Graph, v: str) -> bool:
+    """Condition 6 fails at ``v``: a looped infinite emitter with no regular companion."""
+    return g.is_infinite_emitter(v) and g.supports_loop(v) and companion(g, v) is None
 
 
 def _missing_edges(g: Graph):
@@ -114,6 +121,11 @@ class _Pipeline:
         self.graph, rec = apply_move(self.graph, kind, params)
         self.trace.append(rec)
 
+    def extend(self, result: tuple) -> None:
+        """Continue from the (graph, records) of a run of moves."""
+        self.graph, records = result
+        self.trace.extend(records)
+
 
 def canonicalize(g: Graph) -> tuple:
     """Rewrite ``g`` into a stably complete graph; returns (graph, trace).
@@ -128,14 +140,11 @@ def canonicalize(g: Graph) -> tuple:
     pipe = _Pipeline(g)
 
     # 1: every edge of an infinite emitter should have infinitely many parallels
-    while True:
-        cur = pipe.graph
-        mixed = [
-            v for v in cur.vertices if cur.is_infinite_emitter(v) and _finite_edges(cur, v)
-        ]
-        if not mixed:
-            break
-        pipe.do("BREAKSPLIT", {"vertex": mixed[0]})
+    pipe.extend(
+        _exhaust(
+            pipe.graph, "BREAKSPLIT", lambda g, v: g.is_infinite_emitter(v) and _finite_edges(g, v)
+        )
+    )
 
     # 2: infinite emitters emit (infinitely) to everything they dominate
     cur = pipe.graph
@@ -145,32 +154,19 @@ def canonicalize(g: Graph) -> tuple:
                 pipe.do("T", {"path": shortest_nonzero_path(pipe.graph, v, w)})
 
     # 3: no regular sources
-    pipe.graph, records = _remove_sources(pipe.graph)
-    pipe.trace.extend(records)
+    pipe.extend(_remove_sources(pipe.graph))
 
     # 4: every regular vertex supports a loop
-    while True:
-        cur = pipe.graph
-        loopless = [
-            v for v in cur.vertices if cur.is_regular(v) and not cur.supports_loop(v)
-        ]
-        if not loopless:
-            break
-        pipe.do("COLLAPSE", {"vertex": loopless[0]})
+    pipe.extend(_exhaust(pipe.graph, "COLLAPSE", _lacks_loop))
 
     # 5 + 6: companion splits, then column-operation repairs, to a fixed point
     rounds = pipe.graph.n + 2
     for _ in range(rounds):
         for v in list(pipe.graph.vertices):
-            cur = pipe.graph
-            if (
-                cur.is_infinite_emitter(v)
-                and cur.supports_loop(v)
-                and companion(cur, v) is None
-            ):
-                pipe.do("O", {"vertex": v, "classes": _companion_partition(cur, v)})
-        _repair_missing_edges(pipe)
-        _repair_second_loops(pipe)
+            if _lacks_companion(pipe.graph, v):
+                pipe.do("O", {"vertex": v, "classes": _companion_partition(pipe.graph, v)})
+        _repair(pipe, _missing_edges, lambda g, pair: shortest_nonzero_path(g, *pair))
+        _repair(pipe, lambda g: (v for v in g.vertices if _needs_second_loop(g, v)), _short_cycle)
         if is_stably_complete(pipe.graph).satisfied:
             return pipe.graph, pipe.trace
     raise InternalError(
@@ -189,47 +185,26 @@ def _companion_partition(g: Graph, v: str) -> list:
     return Partition((frozenset(chosen), REMAINDER)).to_json()
 
 
-def _repair_missing_edges(pipe: _Pipeline) -> None:
-    """Add a direct edge for every dominance pair lacking one (condition 5)."""
+def _repair(pipe: _Pipeline, defects, closing_path) -> None:
+    """Apply ``COLADD`` along a path closing the first defect until none is left.
+
+    ``defects(g)`` yields the defects of ``g`` in order, and
+    ``closing_path(g, defect)`` gives the path whose column adds close
+    one.  A defect may come back after later repairs; each gets at most
+    the fuel bound of attempts.
+    """
     budget = _fuel(pipe.graph)
     attempts: dict = {}
-    while True:
-        cur = pipe.graph
-        pair = next(_missing_edges(cur), None)
-        if pair is None:
-            return
-        attempts[pair] = attempts.get(pair, 0) + 1
-        if attempts[pair] > budget:
-            raise InternalError(f"column operations did not close the pair {pair}")
-        path = shortest_nonzero_path(cur, pair[0], pair[1])
+    while (defect := next(defects(pipe.graph), None)) is not None:
+        attempts[defect] = attempts.get(defect, 0) + 1
+        if attempts[defect] > budget:
+            raise InternalError(f"column operations did not repair {defect!r}")
+        path = closing_path(pipe.graph, defect)
         for a, b in zip(path[1:], path[2:]):
             pipe.do("COLADD", {"source": a, "target": b})
 
 
-def _repair_second_loops(pipe: _Pipeline) -> None:
-    """Give every two-cycle vertex a second loop (condition 3)."""
-    budget = _fuel(pipe.graph)
-    attempts: dict = {}
-    while True:
-        cur = pipe.graph
-        vertex = None
-        for v in cur.vertices:
-            if cur.a(v, v) < 2 and simple_cycle_count_at(cur, v) >= 2:
-                vertex = v
-                break
-        if vertex is None:
-            return
-        attempts[vertex] = attempts.get(vertex, 0) + 1
-        if attempts[vertex] > budget:
-            raise InternalError(f"column operations left {vertex!r} with one loop")
-        path = _short_cycle(cur, vertex)
-        if path is None:
-            raise InternalError(f"{vertex!r} has two simple cycles but no long cycle")
-        for a, b in zip(path[1:], path[2:]):
-            pipe.do("COLADD", {"source": a, "target": b})
-
-
-def _short_cycle(g: Graph, v: str):
+def _short_cycle(g: Graph, v: str) -> list:
     """Shortest interior-simple cycle of length >= 2 based at ``v``."""
     best = None
     for u in g.successors(v):
@@ -245,4 +220,6 @@ def _short_cycle(g: Graph, v: str):
             continue
         if best is None or len(candidate) < len(best):
             best = candidate
+    if best is None:
+        raise InternalError(f"{v!r} has two simple cycles but no long cycle")
     return best

@@ -204,6 +204,8 @@ def _cmd_export_dot(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_vertices < 1:
         raise ValidationError(f"--max-vertices must be >= 1, got {args.max_vertices}")
+    if args.corpus < 0:
+        raise ValidationError(f"--corpus must be >= 0, got {args.corpus}")
     passed, failures = verify_corpus(args.corpus, args.max_vertices, args.seed)
     print(f"{passed}/{args.corpus} invariance checks passed")
     for index, graph_json, message in failures:

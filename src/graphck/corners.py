@@ -52,11 +52,7 @@ class CornerGraph:
         heads = data.get("heads", {})
         if not isinstance(heads, dict):
             raise ValidationError("corner graph JSON 'heads' must be an object")
-        try:
-            pairs = tuple((v, ExtNat.of(heads[v])) for v in base.vertices)
-        except KeyError as exc:
-            raise ValidationError(f"missing head for vertex {exc}") from exc
-        return CornerGraph(base, pairs)
+        return make_corner(base, heads)
 
 
 def make_corner(base: Graph, heads: dict) -> CornerGraph:

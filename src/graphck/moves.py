@@ -358,20 +358,25 @@ def apply_move(g: Graph, kind: str, params: dict) -> tuple:
     return out, rec
 
 
+def _exhaust(g: Graph, kind: str, bad) -> tuple:
+    """Apply ``kind`` at the first vertex where ``bad(g, v)`` holds until none is left.
+
+    Returns the graph and the move records.
+    """
+    records = []
+    while (v := next((v for v in g.vertices if bad(g, v)), None)) is not None:
+        g, rec = apply_move(g, kind, {"vertex": v})
+        records.append(rec)
+    return g, records
+
+
 def _remove_sources(g: Graph) -> tuple:
     """Apply ``S`` at the first regular source until none is left.
 
-    Returns the graph and the move records.  Removing a source changes
-    no other vertex's out-degree, so the graph reached does not depend
-    on the order of removal.
+    Removing a source changes no other vertex's out-degree, so the graph
+    reached does not depend on the order of removal.
     """
-    records = []
-    while True:
-        v = next((v for v in g.vertices if g.is_regular(v) and g.is_source(v)), None)
-        if v is None:
-            return g, records
-        g, rec = apply_move(g, "S", {"vertex": v})
-        records.append(rec)
+    return _exhaust(g, "S", lambda g, v: g.is_regular(v) and g.is_source(v))
 
 
 def replay(g: Graph, record: MoveRecord) -> Graph:

@@ -107,11 +107,19 @@ class CoefficientSystem:
 
     @staticmethod
     def from_json(data) -> "CoefficientSystem":
+        if not isinstance(data, (list, tuple)):
+            raise ValidationError(f"coefficient system must be a list of terms, got {data!r}")
         items = []
         for term in data:
-            items.append(
-                (term["v"], [EdgeRef.from_json(e) for e in term.get("T", [])], term["n"])
-            )
+            if not isinstance(term, dict):
+                raise ValidationError(f"coefficient term must be an object, got {term!r}")
+            for field in ("v", "n"):
+                if field not in term:
+                    raise ValidationError(f"coefficient term {term!r} lacks {field!r}")
+            edges = term.get("T", [])
+            if not isinstance(edges, (list, tuple)):
+                raise ValidationError(f"term 'T' must be a list of edges, got {edges!r}")
+            items.append((term["v"], [EdgeRef.from_json(e) for e in edges], term["n"]))
         return CoefficientSystem.make(items)
 
 
@@ -156,7 +164,12 @@ class ProjectionSequence:
 
     @staticmethod
     def from_json(data) -> "ProjectionSequence":
-        head = tuple(CoefficientSystem.from_json(c) for c in data.get("head", []))
+        if not isinstance(data, dict):
+            raise ValidationError(f"projection sequence must be an object, got {data!r}")
+        head = data.get("head", [])
+        if not isinstance(head, (list, tuple)):
+            raise ValidationError(f"projection sequence 'head' must be a list, got {head!r}")
+        head = tuple(CoefficientSystem.from_json(c) for c in head)
         tail = data.get("tail")
         return ProjectionSequence(
             head, CoefficientSystem.from_json(tail) if tail is not None else None
@@ -390,10 +403,8 @@ def _fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
             if (w, ()) not in terms:
                 raise InternalError(f"covered regular vertex {w!r} has no (w, ∅) term")
             terms[(v, ())] = terms.get((v, ()), 0) + 1
-            for y in g.vertices:
-                count = int(g.a(w, y)) - (1 if y == v else 0) - (1 if y == w else 0)
-                if count > 0:
-                    terms[(y, ())] = terms.get((y, ()), 0) + count
+            for y, count in _companion_expansion(g, w, [v]):
+                terms[(y, ())] = terms.get((y, ()), 0) + count
         else:
             key = min((t for (u, t) in terms if u == w), key=lambda t: (len(t), t))
             f = _fresh_parallel_edge(g, ProjectionSequence((merged,), tail), w, v, set(key))

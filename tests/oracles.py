@@ -12,8 +12,7 @@ from math import gcd
 
 
 def _bool_adj(g):
-    n = g.n
-    return [[bool(g.adjacency[i][j]) for j in range(n)] for i in range(n)]
+    return [[bool(m) for m in row] for row in g.adjacency]
 
 
 def oracle_reaches(g, v, w):

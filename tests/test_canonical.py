@@ -1,3 +1,8 @@
+import hashlib
+import json
+import random
+
+import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
@@ -11,6 +16,7 @@ from sample_graphs import (
 )
 
 from graphck import (
+    InternalError,
     breaking_vertices,
     canonicalize,
     is_isomorphic,
@@ -21,6 +27,8 @@ from graphck import (
     replay,
     saturated_hereditary_sets,
 )
+from graphck.canonical import _Pipeline, _repair, _short_cycle
+from graphck.corpus import random_graph
 
 
 class TestIsStablyComplete:
@@ -138,3 +146,35 @@ class TestCanonicalize:
         out, _ = canonicalize(inf_to_loop())
         assert is_stably_complete(out).satisfied
         assert k_groups(out) == k_groups(inf_to_loop())
+
+
+#: SHA-256 over 400 seeded draws of (canonical graph, trace, input report).
+CANONICAL_GOLDEN = "f1180bad95c25cacee3829bf9280658e9bd984179bef24bd737720cd4fb282dc"
+
+
+def test_canonical_outputs_match_golden_hash():
+    digest = hashlib.sha256()
+    for s in range(400):
+        g = random_graph(random.Random(s), max_vertices=6)
+        out, trace = canonicalize(g)
+        data = [out.to_json(), [r.to_json() for r in trace], is_stably_complete(g).to_json()]
+        digest.update(json.dumps(data, ensure_ascii=False).encode())
+    assert digest.hexdigest() == CANONICAL_GOLDEN
+
+
+def test_repair_stops_at_the_fuel_bound(monkeypatch):
+    monkeypatch.setenv("GRAPHCK_FUEL", "3")
+    attempts = []
+
+    def no_path(g, defect):
+        attempts.append(defect)
+        return [defect]
+
+    with pytest.raises(InternalError, match="did not repair 'a'"):
+        _repair(_Pipeline(two_loops()), lambda g: iter(["a"]), no_path)
+    assert attempts == ["a"] * 3
+
+
+def test_short_cycle_without_long_cycle_raises():
+    with pytest.raises(InternalError, match="no long cycle"):
+        _short_cycle(two_loops(), "a")

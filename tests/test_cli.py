@@ -228,3 +228,19 @@ def test_unitize_on_plain_graph_is_one_error_line(tmp_path, capsys):
 def test_verify_without_vertices_is_one_error_line(capsys):
     assert main(["verify", "--max-vertices", "0"]) == 1
     assert _one_error_line(capsys)
+
+
+def test_verify_negative_corpus_is_one_error_line(capsys):
+    assert main(["verify", "--corpus", "-5"]) == 1
+    assert _one_error_line(capsys)
+
+
+def test_unitize_head_for_unknown_vertex_is_one_error_line(tmp_path, capsys):
+    gpath = write_graph(tmp_path, two_loops())
+    cpath = tmp_path / "corner.json"
+    assert main(["corner", gpath, "--multiplicities", '{"a": 2}', "--out", str(cpath)]) == 0
+    data = json.loads(cpath.read_text())
+    data["heads"]["typo"] = 3
+    cpath.write_text(json.dumps(data))
+    assert main(["unitize", str(cpath)]) == 1
+    assert _one_error_line(capsys)

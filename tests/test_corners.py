@@ -67,6 +67,14 @@ class TestCornerGraph:
         cg = corner_graph(inf_to_loop(), {"v": INF, "w": 3})
         assert CornerGraph.from_json(cg.to_json()) == cg
 
+    def test_json_head_for_unknown_vertex_rejected(self):
+        from graphck import ValidationError
+
+        data = make_corner(two_loops(), {"a": 1}).to_json()
+        data["heads"]["typo"] = 3
+        with pytest.raises(ValidationError, match="unknown vertices \\['typo'\\]"):
+            CornerGraph.from_json(data)
+
 
 class TestRealize:
     def test_head_chain(self):

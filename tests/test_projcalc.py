@@ -438,6 +438,24 @@ class TestSequenceJson:
         s = seq(sys_of(("v", [], 1)))
         assert "tail" not in s.to_json()
 
+    @pytest.mark.parametrize(
+        "load, data, field",
+        [
+            (CoefficientSystem.from_json, [{"v": "a"}], "'n'"),
+            (CoefficientSystem.from_json, [{"n": 1}], "'v'"),
+            (CoefficientSystem.from_json, 5, "list of terms"),
+            (CoefficientSystem.from_json, [5], "term must be an object"),
+            (CoefficientSystem.from_json, [{"v": "a", "n": 1, "T": 5}], "'T'"),
+            (ProjectionSequence.from_json, {"head": 3}, "'head'"),
+            (ProjectionSequence.from_json, [], "must be an object"),
+        ],
+        ids=["no-n", "no-v", "not-a-list", "term-not-object", "T-not-a-list",
+             "head-not-a-list", "not-an-object"],
+    )
+    def test_malformed_json_names_the_field(self, load, data, field):
+        with pytest.raises(ValidationError, match=field):
+            load(data)
+
 
 class TestPipelineCornerKTheory:
     def test_finite_multiplicities_preserve_k_theory(self):
