@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring
 
 from . import __version__
 from .canonical import canonicalize, is_stably_complete
@@ -24,13 +25,73 @@ from .ktheory import k_groups
 from .moves import _remove_sources, apply_move
 
 
-def _load_graph(path: str) -> Graph:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return Graph.from_json(json.load(fh))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    return _parse_json(text, path)
+
+
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValidationError(f"{source} nests JSON too deeply to read") from None
+
+
+def _load_graph(path: str) -> Graph:
+    return Graph.from_json(_read_json(path))
+
+
+def _indented(data, pad: str = "\n") -> str:
+    """``json.dumps(data, indent=2, ensure_ascii=False)``, each newline spelled ``pad``.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
+    set; this joins the same text from C-encoded pieces.  Exact ``str``,
+    ``int``, ``list`` and ``dict`` with ``str`` keys are written here,
+    anything else by ``json.dumps`` itself, so the bytes stay the same.
+    """
+    kind = type(data)
+    if kind is str:
+        return encode_basestring(data)
+    if kind is int:
+        return int.__repr__(data)
+    if kind is bool or kind is float or data is None:
+        return json.dumps(data)  # no container: the compact encoder writes the same text
+    inner = pad + "  "
+    if kind is list:
+        if not data:
+            return "[]"
+        if type(data[0]) is list and all(type(row) is list for row in data):
+            # Rows of scalars (index pairs, adjacency matrices): re-indent the
+            # C encoder's compact text.  A nested list or a "[" in a string
+            # breaks the first count, an empty row or a ", " in a string the
+            # second; so when both hold and no object occurs, the rows are flat
+            # and non-empty, ", " separates only items and "], [" only rows.
+            flat = json.dumps(data, ensure_ascii=False)
+            if (
+                flat.count("[") == len(data) + 1
+                and flat.count(", ") == sum(map(len, data)) - 1
+                and "{" not in flat
+            ):
+                deeper = inner + "  "
+                body = flat[2:-2].replace(", ", "," + deeper)
+                body = body.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+                return "[" + inner + "[" + deeper + body + inner + "]" + pad + "]"
+        items = [_indented(x, inner) for x in data]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and all(type(key) is str for key in data):
+        if not data:
+            return "{}"
+        items = [encode_basestring(k) + ": " + _indented(v, inner) for k, v in data.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(data, indent=2, ensure_ascii=False).replace("\n", pad)
 
 
 def _emit(data, out: str | None) -> None:
-    text = data if isinstance(data, str) else json.dumps(data, indent=2, ensure_ascii=False)
+    text = data if isinstance(data, str) else _indented(data)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -154,7 +215,10 @@ def _move_params(args):
     if args.op == "column-add":
         return "COLADD", {"source": need("source"), "target": need("target")}
     if args.op == "out-split":
-        return "O", {"vertex": need("vertex"), "classes": json.loads(need("partition"))}
+        return "O", {
+            "vertex": need("vertex"),
+            "classes": _parse_json(need("partition"), "--partition"),
+        }
     raise GraphCKError(f"unknown op {args.op!r}")
 
 
@@ -170,7 +234,7 @@ def _cmd_ideals(args) -> int:
 
 def _cmd_corner(args) -> int:
     g = _load_graph(args.graph)
-    data = json.loads(args.multiplicities)
+    data = _parse_json(args.multiplicities, "--multiplicities")
     if not isinstance(data, dict):
         raise ValidationError("--multiplicities must be a JSON object of vertex -> n")
     mult = {v: ExtNat.of(x) for v, x in data.items()}
@@ -183,8 +247,7 @@ def _cmd_corner(args) -> int:
 
 
 def _cmd_unitize(args) -> int:
-    with open(args.corner, "r", encoding="utf-8") as fh:
-        cg = CornerGraph.from_json(json.load(fh))
+    cg = CornerGraph.from_json(_read_json(args.corner))
     _emit(unitize(cg).to_json(), args.out)
     return 0
 

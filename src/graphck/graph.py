@@ -210,15 +210,6 @@ class Graph:
             return False
         return e.index < self._mult(e.src, e.dst)
 
-    def edges_from(self, v: str) -> tuple:
-        """All out-edges of a finite emitter, in positional order."""
-        if self.is_infinite_emitter(v):
-            raise DomainError(f"cannot enumerate the edges of infinite emitter {v!r}")
-        vs = self.vertices
-        return tuple(
-            EdgeRef(v, vs[j], i) for j, m in self._rows[self.index(v)].items() for i in range(m)
-        )
-
     def _degs(self) -> "_Degrees":
         if self._degrees is None:
             self._degrees = _degrees_of(self._rows)

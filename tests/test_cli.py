@@ -1,9 +1,12 @@
 import json
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sample_graphs import inf_to_loop, mixed_emitter, two_loops
 
-from graphck import Graph, MoveRecord, remove_regular_sources, replay
-from graphck.cli import main
+from graphck import ExtNat, Graph, MoveRecord, corner_graph, remove_regular_sources, replay
+from graphck.cli import _emit, main
 
 
 def write_graph(tmp_path, g, name="g.json"):
@@ -243,4 +246,114 @@ def test_unitize_head_for_unknown_vertex_is_one_error_line(tmp_path, capsys):
     data["heads"]["typo"] = 3
     cpath.write_text(json.dumps(data))
     assert main(["unitize", str(cpath)]) == 1
+    assert _one_error_line(capsys)
+
+
+def _stdlib_text(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+# Strings that look like the separators and brackets of the JSON text itself.
+TRICKY = ["], [", ", ", "[", "]", '"', "\\", "\x00", "é", "[]", "{", "\n", "inf"]
+_scalars = st.one_of(
+    st.sampled_from(TRICKY),
+    st.text(max_size=4),
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_cells = st.one_of(
+    st.integers(-2, 2), st.floats(), st.booleans(), st.none(), st.sampled_from(TRICKY)
+)
+_rows = st.lists(st.lists(_cells, max_size=3), min_size=1, max_size=4)
+_keys = st.one_of(st.sampled_from(TRICKY), st.text(max_size=3), st.integers(), st.booleans())
+json_trees = st.recursive(
+    st.one_of(_scalars, _rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=json_trees.filter(lambda d: not isinstance(d, str)))  # a str is emitted as is
+@example(data=[[", "], [0]])
+@example(data=[[1], []])
+@example(data=[[{"k": 0}], [1]])
+@example(data=[["a]", 1], [2, "inf"]])
+def test_emit_writes_the_stdlib_indent_text(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("emit") / "out.json"
+    _emit(data, str(path))
+    assert path.read_bytes().decode("utf-8") == _stdlib_text(data)
+
+
+def twelve_vertex_chains():
+    """Three chains of four looped vertices, joined by 1, ∞, 1 edges: 216 admissible pairs."""
+    rows = [[int(i == j) for j in range(12)] for i in range(12)]
+    for c in range(0, 12, 4):
+        rows[c][c + 1], rows[c + 1][c + 2], rows[c + 2][c + 3] = 1, "inf", 1
+    return Graph([f"x{i}" for i in range(12)], rows)
+
+
+def through_vertex():
+    return Graph(["x", "u", "y"], [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+@pytest.mark.parametrize(
+    "argv, graph",
+    [
+        (["analyze", "{g}"], twelve_vertex_chains),
+        (["canonicalize", "{g}", "--trace", "{trace}"], mixed_emitter),
+        (["move", "{g}", "--op", "collapse", "--vertex", "u", "--trace", "{trace}"],
+         through_vertex),
+        (["ideals", "{g}"], twelve_vertex_chains),
+        (["corner", "{g}", "--multiplicities", '{"v": "inf", "w": 2}'], inf_to_loop),
+        (["corner", "{g}", "--multiplicities", '{"a": 3}', "--realize"], two_loops),
+        (["unitize", "{corner}"], inf_to_loop),
+        (["ktheory", "{g}"], twelve_vertex_chains),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_cli_json_is_the_stdlib_indent_text(tmp_path, argv, graph):
+    g = graph()
+    out, trace, corner = tmp_path / "out.json", tmp_path / "trace.json", tmp_path / "corner.json"
+    if "{corner}" in argv:
+        cg = corner_graph(g, {"v": ExtNat.of("inf"), "w": ExtNat.of(2)})
+        corner.write_text(json.dumps(cg.to_json()))
+    files = {"{g}": write_graph(tmp_path, g), "{corner}": str(corner), "{trace}": str(trace)}
+    assert main([files.get(a, a) for a in argv] + ["-o", str(out)]) == 0
+    for path in [out, trace] if "{trace}" in argv else [out]:
+        text = path.read_bytes().decode("utf-8")
+        # Parsing gives back the emitted value: only str, int, bool, list and dict occur.
+        assert text == _stdlib_text(json.loads(text))
+    if argv[0] == "ideals":
+        assert len(json.loads(out.read_text())["nodes"]) >= 100
+
+
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["analyze", "{f}"], json.dumps(two_loops().to_json()).encode("utf-16")),
+        (["analyze", "{f}"], _DEEP.encode()),
+        (["unitize", "{f}"], b"\xff\xfe{}"),
+        (["unitize", "{f}"], _DEEP.encode()),
+        (["corner", "{g}", "--multiplicities", _DEEP], b""),
+        (["move", "{g}", "--op", "out-split", "--vertex", "a", "--partition", _DEEP], b""),
+    ],
+    ids=["utf16-graph", "deep-graph", "utf16-corner", "deep-corner", "deep-multiplicities",
+         "deep-partition"],
+)
+def test_undecodable_or_deep_json_is_one_error_line(tmp_path, capsys, argv, content):
+    f = tmp_path / "in.json"
+    f.write_bytes(content)
+    files = {"{f}": str(f), "{g}": write_graph(tmp_path, two_loops())}
+    assert main([files.get(a, a) for a in argv]) == 1
     assert _one_error_line(capsys)
