@@ -9,6 +9,7 @@ when the verification harness finds an invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring
@@ -99,6 +100,7 @@ def _emit(data, out: str | None) -> None:
         print(text)
 
 
+@functools.cache  # built on the first call, not at import; parsing keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphck",

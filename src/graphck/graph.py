@@ -286,12 +286,13 @@ class Graph:
     def to_dot(self, name: str = "G") -> str:
         """DOT text with one rendered edge per vertex pair, labeled by multiplicity."""
         lines = [f"digraph {name} {{"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for u, row in zip(self.vertices, self._rows):
+        ids = [_quoted(v) for v in self.vertices]
+        for v in ids:
+            lines.append(f"  {v};")
+        for u, row in zip(ids, self._rows):
             for j, m in row.items():
                 label = "∞" if m == _INF else str(m)
-                lines.append(f'  "{u}" -> "{self.vertices[j]}" [label="{label}"];')
+                lines.append(f'  {u} -> {ids[j]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -390,6 +391,11 @@ def _emission_of(rows, succ) -> _Emission:
     bits = [1 << j for j in range(len(rows))]
     inf = [sum(bits[j] for j, m in row.items() if m == _INF) for row in rows]
     return _Emission(inf, sum(b for b, s, i in zip(bits, succ, inf) if s and not i))
+
+
+def _quoted(text: str) -> str:
+    """``text`` as a double-quoted DOT string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _bits(mask: int):

@@ -12,6 +12,7 @@ algebra realizes a given pair's ideal up to stable isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import DomainError
@@ -21,6 +22,7 @@ from .graph import (
     _closure_mask,
     _mask,
     _names,
+    _quoted,
     _saturate_mask,
     is_hereditary,
     is_saturated,
@@ -43,11 +45,17 @@ class IdealLattice:
     """All admissible pairs of a graph under containment order.
 
     (H1, S1) <= (H2, S2) iff H1 ⊆ H2 and S1 ⊆ H2 ∪ S2.  The order has
-    bottom (∅, ∅) and top (all vertices, ∅).
+    bottom (∅, ∅) and top (all vertices, ∅).  It is kept as one bitmask
+    row per node: bit j of ``up[i]`` is set iff nodes[i] <= nodes[j].
     """
 
     nodes: tuple
-    order: frozenset  # of (i, j) index pairs with nodes[i] <= nodes[j]
+    up: tuple
+
+    @cached_property
+    def order(self) -> frozenset:
+        """The (i, j) index pairs with nodes[i] <= nodes[j]."""
+        return frozenset(self._pairs(self.up))
 
     def leq(self, a: AdmissiblePair, b: AdmissiblePair) -> bool:
         return a.h <= b.h and a.s <= (b.h | b.s)
@@ -61,22 +69,25 @@ class IdealLattice:
     def hasse_edges(self) -> list:
         """Covering relations of the order, as sorted index pairs.
 
-        With ``up[i]`` the nodes strictly above node i and ``down[j]`` the
-        nodes strictly below node j, i < j is a cover when no node lies in
-        both.
+        Every node lies after the nodes below it, so the lowest node strictly
+        above i and above none of the covers found so far is itself a cover
+        of i: take it, drop every node above it, and repeat.
         """
-        n = len(self.nodes)
-        up, down = [0] * n, [0] * n
-        for i, j in self.order:
-            if i != j:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-        return [(i, j) for i in range(n) for j in _bits(up[i]) if not up[i] & down[j]]
+        covers = []
+        for i, row in enumerate(self.up):
+            row &= ~(1 << i)
+            found = 0
+            while row:
+                low = row & -row
+                found |= low
+                row &= ~self.up[low.bit_length() - 1]
+            covers.append(found)
+        return self._pairs(covers)
 
     def to_json(self) -> dict:
         return {
             "nodes": [p.to_json() for p in self.nodes],
-            "order": [list(pair) for pair in sorted(self.order)],
+            "order": [[i, j] for i, row in enumerate(self.up) for j in _bits(row)],
         }
 
     def to_dot(self) -> str:
@@ -85,11 +96,16 @@ class IdealLattice:
             h = ",".join(sorted(p.h)) or "∅"
             s = ",".join(sorted(p.s))
             label = f"({{{h}}},{{{s}}})" if s else f"({{{h}}},∅)"
-            lines.append(f'  n{i} [label="{label}"];')
+            lines.append(f"  n{i} [label={_quoted(label)}];")
         for i, j in self.hasse_edges():
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)
+
+    @staticmethod
+    def _pairs(rows) -> list:
+        """The (i, j) with bit j set in ``rows[i]``, in sorted order."""
+        return [(i, j) for i, row in enumerate(rows) for j in _bits(row)]
 
 
 def breaking_vertices(g: Graph, H) -> frozenset:
@@ -152,17 +168,23 @@ def admissible_pairs(g: Graph, max_vertices: int = 16) -> IdealLattice:
     nodes.sort(key=lambda p: (len(p.h), sorted(p.h), len(p.s), sorted(p.s)))
     nodes = tuple(nodes)
     # a <= b iff H_a ⊆ H_b and H_a ∪ S_a ⊆ H_b ∪ S_b (S is disjoint from H):
-    # one subset test on both masks side by side.  A node is below only
-    # nodes sorted after it, since a smaller H has fewer vertices and an
-    # equal H forces S_a ⊆ S_b.
+    # one subset test on both masks side by side.  Bit-sliced: ``has[b]``
+    # holds the nodes whose key has bit b, and the nodes above a are those
+    # in ``has[b]`` for every bit b of a's key.  A node is below only nodes
+    # sorted after it, since a smaller H has fewer vertices and an equal H
+    # forces S_a ⊆ S_b; ``hasse_edges`` relies on this.
     keys = [_mask(g, p.h) | _mask(g, p.h | p.s) << g.n for p in nodes]
-    order = frozenset(
-        (i, j)
-        for i, a in enumerate(keys)
-        for j in range(i, len(keys))
-        if a & keys[j] == a
-    )
-    return IdealLattice(nodes, order)
+    has = [0] * (2 * g.n)
+    for i, key in enumerate(keys):
+        for b in _bits(key):
+            has[b] |= 1 << i
+    up, everyone = [], (1 << len(keys)) - 1
+    for key in keys:
+        row = everyone
+        for b in _bits(key):
+            row &= has[b]
+        up.append(row)
+    return IdealLattice(nodes, tuple(up))
 
 
 def restriction_graph(g: Graph, pair: AdmissiblePair) -> Graph:

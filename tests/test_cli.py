@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sample_graphs import inf_to_loop, mixed_emitter, two_loops
 
+import graphck
 from graphck import ExtNat, Graph, MoveRecord, corner_graph, remove_regular_sources, replay
-from graphck.cli import _emit, main
+from graphck.cli import _build_parser, _emit, main
 
 
 def write_graph(tmp_path, g, name="g.json"):
@@ -132,6 +137,52 @@ def test_export_dot(tmp_path, capsys):
     code = main(["export-dot", write_graph(tmp_path, inf_to_loop())])
     assert code == 0
     assert 'label="∞"' in capsys.readouterr().out
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    path = write_graph(tmp_path, two_loops())
+    assert main(["analyze", path]) == 0
+    before = capsys.readouterr().out
+    for argv in (["no-such-command"], ["move", path]):
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: graphck")
+    assert _exit_code(["--version"]) == 0
+    assert capsys.readouterr().out == "graphck 0.1.0\n"
+    helps = []
+    for _ in range(2):
+        assert _exit_code(["--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: graphck")
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == before
+    assert _build_parser() is _build_parser()
+
+
+def _run_module(*argv):
+    path = [str(Path(graphck.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, encoding="utf-8", env=env)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    path = write_graph(tmp_path, inf_to_loop())
+    assert main(["export-dot", path]) == 0
+    done = _run_module("-m", "graphck", "export-dot", path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    done = _run_module("-m", "graphck", "analyze", str(tmp_path / "missing.json"))
+    assert done.returncode == 1 and done.stderr.startswith("error:")
+
+
+def test_import_builds_no_parser():
+    done = _run_module("-c", "import graphck.cli as c; print(c._build_parser.cache_info().currsize)")
+    assert done.stdout == "0\n"
 
 
 def test_verify_reports_line(capsys):

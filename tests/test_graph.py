@@ -323,6 +323,17 @@ class TestSerialization:
         assert '"v" -> "w" [label="∞"]' in dot
         assert '"w" -> "w" [label="1"]' in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = Graph(['a"b', "c\\d"], [[0, 1], ["inf", 0]])
+        assert g.to_dot() == "\n".join([
+            "digraph G {",
+            r'  "a\"b";',
+            r'  "c\\d";',
+            r'  "a\"b" -> "c\\d" [label="1"];',
+            r'  "c\\d" -> "a\"b" [label="∞"];',
+            "}",
+        ])
+
     @settings(max_examples=30)
     @given(graphs())
     def test_json_round_trip_any(self, g):

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import random
 from itertools import combinations
 
@@ -16,6 +19,7 @@ from graphck import (
     restriction_graph,
     saturated_hereditary_sets,
 )
+from graphck import cli
 from graphck.corpus import DEFAULT_ENTRIES, random_graph
 from graphck.ideals import AdmissiblePair
 
@@ -89,6 +93,17 @@ class TestAdmissiblePairs:
     def test_dot_output_mentions_nodes(self):
         dot = admissible_pairs(inf_to_loop()).to_dot()
         assert "digraph" in dot and "n0" in dot
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        dot = admissible_pairs(make_graph(['a"b\\c'], [[1]])).to_dot()
+        assert dot == "\n".join([
+            "digraph ideals {",
+            "  rankdir=BT;",
+            '  n0 [label="({∅},∅)"];',
+            r'  n1 [label="({a\"b\\c},∅)"];',
+            "  n0 -> n1;",
+            "}",
+        ])
 
 
 class TestRestrictionGraph:
@@ -166,6 +181,34 @@ def _brute_force_covers(lattice):
     )
 
 
+class TestLatticeRows:
+    def test_rows_match_the_definition(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_graph(random.Random(rng.getrandbits(64)), 6, (0, 0, 0, 0, 1, 2, "inf"))
+            lattice = admissible_pairs(g)
+            nodes = lattice.nodes
+            pairwise = {
+                (i, j)
+                for i, a in enumerate(nodes)
+                for j, b in enumerate(nodes)
+                if lattice.leq(a, b)
+            }
+            assert lattice.order == pairwise, g.to_json()
+            assert lattice.order is lattice.order
+            assert lattice.to_json()["order"] == [list(p) for p in sorted(lattice.order)]
+            assert lattice.hasse_edges() == _brute_force_covers(lattice), g.to_json()
+
+    def test_block_graph_order_matches_the_definition(self):
+        lattice = admissible_pairs(_block_graph(1))
+        nodes = lattice.nodes
+        assert len(nodes) >= 400
+        assert lattice.order == {
+            (i, j) for i, a in enumerate(nodes) for j, b in enumerate(nodes) if lattice.leq(a, b)
+        }
+        assert lattice.to_json()["order"] == [list(p) for p in sorted(lattice.order)]
+
+
 class TestEnumerationAgainstDefinitions:
     @pytest.mark.parametrize("entries", [DEFAULT_ENTRIES, (0, 0, 0, 0, 0, 1, 2, "inf")])
     def test_seeded_graphs(self, entries):
@@ -196,3 +239,51 @@ class TestEnumerationAgainstDefinitions:
             saturated_hereditary_sets(g)
         with pytest.raises(DomainError):
             admissible_pairs(g, max_vertices=4)
+
+
+def _block_graph(seed):
+    """Twelve vertices in nine cyclic blocks, upper-triangular, with four ∞ edges."""
+    blocks = [2, 1, 1, 1, 2, 1, 1, 1, 2]
+    rng, pattern = random.Random(seed), random.Random(6)
+    n = sum(blocks)
+    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in blocks:
+        for k in range(size):
+            rows[start + k][start + (k + 1) % size] = rng.randint(1, 2)
+        start += size
+    for i in range(n):
+        for j in range(n):
+            if owner[j] > owner[i] and pattern.random() < 0.08:
+                rows[i][j] = rng.randint(1, 2)
+    for i in pattern.sample(range(n - blocks[-1]), 4):
+        rows[i][pattern.choice([j for j in range(n) if owner[j] > owner[i]])] = "inf"
+    return make_graph([f"b{i}" for i in range(n)], rows)
+
+
+def _emitted(data) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(data, None)
+    return out.getvalue()
+
+
+#: SHA-256 of the emitted ``ideals`` JSON and DOT text of the graphs below.
+IDEALS_GOLDEN = "9468fe0648472ea4abb304b154ff76025561130544cc82f01f369fe015c7fc5e"
+
+
+def test_ideals_outputs_match_golden_hash():
+    block = _block_graph(1)
+    graphs = [
+        random_graph(random.Random(s), 7, entries)
+        for entries in (DEFAULT_ENTRIES, (0, 0, 0, 0, 0, 1, 2, "inf"))
+        for s in range(400)
+    ] + [block]
+    assert len(admissible_pairs(block).nodes) >= 400
+    digest = hashlib.sha256()
+    for g in graphs:
+        lattice = admissible_pairs(g)
+        digest.update(_emitted(lattice.to_json()).encode())
+        digest.update(_emitted(lattice.to_dot()).encode())
+    assert digest.hexdigest() == IDEALS_GOLDEN
