@@ -14,10 +14,10 @@ enumerate infinite families.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, NotFoundError, ValidationError
@@ -70,9 +70,15 @@ def _raw(x):
 
 
 def _vertex_names(vertices) -> tuple:
+    """Distinct names that encode as UTF-8, as digests and the CLI need."""
     vs = tuple(str(v) for v in vertices)
     if len(set(vs)) != len(vs):
         raise ValidationError("duplicate vertex names")
+    for v in vs:
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"vertex name {v!r} is not valid Unicode text") from None
     return vs
 
 
@@ -95,8 +101,9 @@ class Graph:
 
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
     # ``_digest`` are filled on first query (by this module, ktheory and
-    # canonical); they are derived from the rows, so identity, hashing and
-    # serialization ignore them.
+    # canonical), or ``_reach`` by ``moves.move_T`` from its input's; they
+    # are derived from the rows, so identity, hashing and serialization
+    # ignore them.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",
@@ -275,7 +282,19 @@ class Graph:
         return Graph(vertices, adjacency)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"), ensure_ascii=False)
+        """``json.dumps(self.to_json(), separators=(",", ":"), ensure_ascii=False)``.
+
+        Written straight from the sparse rows, without the dense lists.
+        """
+        zeros = ["0"] * len(self.vertices)
+        rows = []
+        for row in self._rows:
+            out = zeros[:]
+            for j, m in row.items():
+                out[j] = '"inf"' if m == _INF else str(m)
+            rows.append("[" + ",".join(out) + "]")
+        names = ",".join(map(encode_basestring, self.vertices))
+        return '{"vertices":[' + names + '],"adjacency":[' + ",".join(rows) + "]}"
 
     def digest(self) -> str:
         if self._digest is None:
@@ -284,8 +303,12 @@ class Graph:
         return self._digest
 
     def to_dot(self, name: str = "G") -> str:
-        """DOT text with one rendered edge per vertex pair, labeled by multiplicity."""
-        lines = [f"digraph {name} {{"]
+        """DOT text with one rendered edge per vertex pair, labeled by multiplicity.
+
+        ``name`` is written bare when it is a plain DOT ID, else quoted.
+        """
+        bare = name.isascii() and name.isidentifier() and name.lower() not in _DOT_KEYWORDS
+        lines = [f"digraph {name if bare else _quoted(name)} {{"]
         ids = [_quoted(v) for v in self.vertices]
         for v in ids:
             lines.append(f"  {v};")
@@ -338,7 +361,10 @@ def vertex_class(g: Graph, v: str) -> VertexClass:
 
 
 class _Reach(NamedTuple):
-    """Reachability of one graph as bitmasks over vertex positions."""
+    """Reachability of one graph as bitmasks over vertex positions.
+
+    The lists are never mutated once built, so graphs may share them.
+    """
 
     succ: list  # bit j of succ[i]: an edge i → j
     reach: list  # bit j of reach[i]: a path of length >= 1 from i to j
@@ -391,6 +417,10 @@ def _emission_of(rows, succ) -> _Emission:
     bits = [1 << j for j in range(len(rows))]
     inf = [sum(bits[j] for j, m in row.items() if m == _INF) for row in rows]
     return _Emission(inf, sum(b for b, s, i in zip(bits, succ, inf) if s and not i))
+
+
+#: Words DOT reserves, in any case; as graph names they must be quoted.
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
 
 
 def _quoted(text: str) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from json.encoder import encode_basestring
 
 from .errors import DomainError
 from .graph import (
@@ -92,9 +93,13 @@ class IdealLattice:
 
     def to_dot(self) -> str:
         lines = ["digraph ideals {", "  rankdir=BT;"]
+        quoted = _misread_names(self.nodes)
         for i, p in enumerate(self.nodes):
-            h = ",".join(sorted(p.h)) or "∅"
-            s = ",".join(sorted(p.s))
+            h, s = sorted(p.h), sorted(p.s)
+            if quoted:
+                h, s = [quoted.get(v, v) for v in h], [quoted.get(v, v) for v in s]
+            h = ",".join(h) or "∅"
+            s = ",".join(s)
             label = f"({{{h}}},{{{s}}})" if s else f"({{{h}}},∅)"
             lines.append(f"  n{i} [label={_quoted(label)}];")
         for i, j in self.hasse_edges():
@@ -106,6 +111,20 @@ class IdealLattice:
     def _pairs(rows) -> list:
         """The (i, j) with bit j set in ``rows[i]``, in sorted order."""
         return [(i, j) for i, row in enumerate(rows) for j in _bits(row)]
+
+
+#: Characters of a lattice label's own syntax; names holding one are quoted.
+_LABEL_SYNTAX = frozenset(',{}()"\\')
+
+
+def _misread_names(nodes) -> dict:
+    """Names in ``nodes`` that could read as label syntax, each with its JSON-quoted form."""
+    names = frozenset().union(*[p.h for p in nodes], *[p.s for p in nodes])
+    return {
+        v: encode_basestring(v)
+        for v in names
+        if v in ("", "∅") or not _LABEL_SYNTAX.isdisjoint(v)
+    }
 
 
 def breaking_vertices(g: Graph, H) -> frozenset:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MoveError, ValidationError
-from .graph import _INF, EdgeRef, Graph, _with, fresh_names
+from .graph import _INF, EdgeRef, Graph, _Reach, _with, fresh_names
 
 
 class _Remainder:
@@ -199,7 +199,8 @@ def move_T(g: Graph, path) -> Graph:
 
     The first edge of the path must already have infinitely many
     parallels; the effect on the adjacency is to set the entry from the
-    path's source to its range to ∞.
+    path's source to its range to ∞.  The source already reaches the
+    range along the path, so reachability, when known, is carried over.
     """
     path = list(path)
     if len(path) < 2:
@@ -212,9 +213,14 @@ def move_T(g: Graph, path) -> Graph:
     if not g.a(path[0], path[1]).is_infinite:
         raise MoveError("the first edge of the path must have infinitely many parallels")
     rows = list(g._rows)
-    i = g.index(path[0])
-    rows[i] = _with(rows[i], g.index(path[-1]), _INF)
-    return Graph._trusted(g.vertices, tuple(rows))
+    i, j = g.index(path[0]), g.index(path[-1])
+    rows[i] = _with(rows[i], j, _INF)
+    out = Graph._trusted(g.vertices, tuple(rows))
+    if g._reach is not None:
+        succ = g._reach.succ[:]
+        succ[i] |= 1 << j
+        out._reach = _Reach(succ, g._reach.reach)  # never mutated, so shared
+    return out
 
 
 def column_add(g: Graph, u: str, v: str) -> Graph:

@@ -255,6 +255,14 @@ def test_adjacency_not_a_matrix_is_one_error_line(tmp_path, capsys):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["canonicalize", "analyze", "export-dot", "ideals"])
+def test_lone_surrogate_vertex_name_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": ["\\ud800", "b"], "adjacency": [[1, 0], [0, 1]]}')
+    assert main([command, str(path)]) == 1
+    assert _one_error_line(capsys)
+
+
 def test_partition_not_a_list_is_one_error_line(tmp_path, capsys):
     gpath = write_graph(tmp_path, two_loops())
     argv = ["move", gpath, "--op", "out-split", "--vertex", "a", "--partition", "5"]

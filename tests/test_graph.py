@@ -3,7 +3,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,6 +17,7 @@ from graphck import (
     Graph,
     NotFoundError,
     ValidationError,
+    canonicalize,
     condition_K,
     dominates,
     hereditary_closure,
@@ -59,6 +60,13 @@ class TestMakeGraph:
     def test_negative_entry(self):
         with pytest.raises(ValidationError):
             make_graph(["a"], [[-1]])
+
+    @pytest.mark.parametrize("name", ["\ud800", "a\udfff"])
+    def test_name_that_is_not_unicode_text(self, name):
+        with pytest.raises(ValidationError, match="not valid Unicode text"):
+            make_graph([name, "b"], [[0, 0], [0, 0]])
+        with pytest.raises(ValidationError):
+            two_loops().relabeled({"a": name})
 
 
 class TestVertexClass:
@@ -308,7 +316,37 @@ class TestConditionK:
         assert condition_K(g) == oracles.oracle_condition_K(g)
 
 
+def _compact_dump(g) -> str:
+    return json.dumps(g.to_json(), separators=(",", ":"), ensure_ascii=False)
+
+
+# Names the JSON text escapes, or that look like its own tokens.
+TRICKY_NAMES = ['"', "\\", "\x00", "\n", "\x1f", "\u2028", "é", "\U0001d538", "inf", "", ",", "]"]
+
+
+@st.composite
+def named_graphs(draw):
+    text = st.text(st.characters(exclude_categories=("Cs",)), max_size=3)
+    names = draw(st.lists(st.sampled_from(TRICKY_NAMES) | text, max_size=5, unique=True))
+    entries = st.sampled_from([0, 1, 2, 255, 256, 2**70, "inf"])
+    return Graph(names, [[draw(entries) for _ in names] for _ in names])
+
+
 class TestSerialization:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(named_graphs())
+    @example(Graph([], []))
+    @example(Graph(["inf", '"\\'], [["inf", 256], [0, 2**70]]))
+    def test_canonical_json_is_the_compact_dump(self, g):
+        assert g.canonical_json() == _compact_dump(g)
+
+    def test_canonical_json_of_seeded_draws_and_their_canonical_forms(self):
+        for s in range(150):
+            g = corpus.random_graph(random.Random(s), 5)
+            out, _ = canonicalize(g)
+            assert g.canonical_json() == _compact_dump(g)
+            assert out.canonical_json() == _compact_dump(out)
+
     def test_round_trip(self):
         g = inf_to_loop()
         again = Graph.from_json(json.loads(g.canonical_json()))
@@ -333,6 +371,18 @@ class TestSerialization:
             r'  "c\\d" -> "a\"b" [label="∞"];',
             "}",
         ])
+
+    @pytest.mark.parametrize("name, head", [
+        ("G", "digraph G {"),
+        ("_x1", "digraph _x1 {"),
+        ("my graph", 'digraph "my graph" {'),
+        ("1x", 'digraph "1x" {'),
+        ("Node", 'digraph "Node" {'),
+        ("é", 'digraph "é" {'),
+        ('a"b', r'digraph "a\"b" {'),
+    ])
+    def test_dot_name_is_quoted_unless_a_plain_id(self, name, head):
+        assert two_loops().to_dot(name).splitlines()[0] == head
 
     @settings(max_examples=30)
     @given(graphs())

@@ -94,13 +94,19 @@ class TestAdmissiblePairs:
         dot = admissible_pairs(inf_to_loop()).to_dot()
         assert "digraph" in dot and "n0" in dot
 
+    @pytest.mark.parametrize("names", [["a,b", "c", "a", "b"], ["∅", "", "(a)", "{b}"]])
+    def test_dot_labels_are_distinct(self, names):
+        g = make_graph(names, [[int(i == j) for j in range(4)] for i in range(4)])
+        labels = [line for line in admissible_pairs(g).to_dot().splitlines() if "label=" in line]
+        assert len({line.split("label=")[1] for line in labels}) == len(labels) == 16
+
     def test_dot_escapes_quotes_and_backslashes(self):
         dot = admissible_pairs(make_graph(['a"b\\c'], [[1]])).to_dot()
         assert dot == "\n".join([
             "digraph ideals {",
             "  rankdir=BT;",
             '  n0 [label="({∅},∅)"];',
-            r'  n1 [label="({a\"b\\c},∅)"];',
+            r'  n1 [label="({\"a\\\"b\\\\c\"},∅)"];',
             "  n0 -> n1;",
             "}",
         ])

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import graphs
 from sample_graphs import inf_to_loop, one_loop, two_loops
@@ -28,6 +28,7 @@ from graphck import (
     split_breaking,
 )
 from graphck.corpus import random_move
+from graphck.graph import _reach_of, dominates, shortest_nonzero_path
 
 
 class TestOutSplit:
@@ -160,6 +161,24 @@ class TestMoveT:
         g = inf_to_loop()
         with pytest.raises(MoveError):
             move_T(g, ["v", "w", "v"])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(graphs(max_vertices=5, entries=(0, 0, 1, 2, "inf")))
+    @example(make_graph(["v", "w"], [["inf", "inf"], [1, 0]]))
+    def test_carried_reachability_is_the_fresh_one(self, g):
+        reach = g._reachability()
+        for v in g.vertices:
+            for w in g.successors(v):
+                if not g.a(v, w).is_infinite:
+                    continue
+                # the no-op [v, w], and every path on to a vertex w dominates
+                paths = [[v, w]] + [
+                    [v] + shortest_nonzero_path(g, w, x) for x in g.vertices if dominates(g, w, x)
+                ]
+                for path in paths:
+                    out = move_T(g, path)
+                    assert out._reach == _reach_of(out._rows)
+                    assert out._reach.reach is reach.reach
 
 
 class TestColumnAdd:
