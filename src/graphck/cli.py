@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import compress
 from json.encoder import encode_basestring
 
 from . import __version__
@@ -21,7 +22,7 @@ from .corpus import verify_corpus
 from .errors import GraphCKError, ValidationError
 from .extnat import ExtNat
 from .graph import Graph, condition_K, vertex_class
-from .ideals import admissible_pairs
+from .ideals import IdealLattice, _flags, admissible_pairs
 from .ktheory import k_groups
 from .moves import _remove_sources, apply_move
 
@@ -89,6 +90,21 @@ def _indented(data, pad: str = "\n") -> str:
         items = [encode_basestring(k) + ": " + _indented(v, inner) for k, v in data.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return json.dumps(data, indent=2, ensure_ascii=False).replace("\n", pad)
+
+
+def _lattice_text(lattice: IdealLattice) -> str:
+    """``_indented(lattice.to_json())``, with the order written straight from ``lattice.up``.
+
+    Pair (i, j) is row i's head ``[\\n      i,`` and column j's cell; a
+    row's cells are picked by its bit flags, so no pair list is built.
+    """
+    cells = [f"\n      {j}\n    ]" for j in range(len(lattice.nodes))]
+    rows = []
+    for i, row in enumerate(lattice.up):
+        head = f"[\n      {i},"
+        rows.append(head + (",\n    " + head).join(compress(cells, _flags(row))))
+    nodes = _indented([p.to_json() for p in lattice.nodes], "\n  ")
+    return '{\n  "nodes": ' + nodes + ',\n  "order": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}"
 
 
 def _emit(data, out: str | None) -> None:
@@ -225,12 +241,14 @@ def _move_params(args):
 
 
 def _cmd_ideals(args) -> int:
+    if args.max_vertices < 0:
+        raise ValidationError(f"--max-vertices must be >= 0, got {args.max_vertices}")
     g = _load_graph(args.graph)
     lattice = admissible_pairs(g, max_vertices=args.max_vertices)
     if args.format == "dot":
         _emit(lattice.to_dot(), args.out)
     else:
-        _emit(lattice.to_json(), args.out)
+        _emit(_lattice_text(lattice), args.out)
     return 0
 
 

@@ -101,9 +101,9 @@ class Graph:
 
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
     # ``_digest`` are filled on first query (by this module, ktheory and
-    # canonical), or ``_reach`` by ``moves.move_T`` from its input's; they
-    # are derived from the rows, so identity, hashing and serialization
-    # ignore them.
+    # canonical), or ``_reach`` and ``_degrees`` by ``moves.move_T`` from its
+    # input's; they are derived from the rows, so identity, hashing and
+    # serialization ignore them.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",
@@ -371,7 +371,10 @@ class _Reach(NamedTuple):
 
 
 class _Degrees(NamedTuple):
-    """Stored degrees and the kind of every vertex, by position."""
+    """Stored degrees and the kind of every vertex, by position.
+
+    The lists are never mutated once built, so graphs may share them.
+    """
 
     out: list  # an int, or _INF
     into: list  # an int, or _INF

@@ -12,9 +12,10 @@ algebra realizes a given pair's ideal up to stable isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import combinations, compress
 from json.encoder import encode_basestring
+from operator import and_
 
 from .errors import DomainError
 from .graph import (
@@ -74,21 +75,19 @@ class IdealLattice:
         above i and above none of the covers found so far is itself a cover
         of i: take it, drop every node above it, and repeat.
         """
-        covers = []
+        edges = []
         for i, row in enumerate(self.up):
             row &= ~(1 << i)
-            found = 0
-            while row:
-                low = row & -row
-                found |= low
-                row &= ~self.up[low.bit_length() - 1]
-            covers.append(found)
-        return self._pairs(covers)
+            while row:  # the covers come lowest first, so the pairs come sorted
+                j = (row & -row).bit_length() - 1
+                edges.append((i, j))
+                row &= ~self.up[j]
+        return edges
 
     def to_json(self) -> dict:
         return {
             "nodes": [p.to_json() for p in self.nodes],
-            "order": [[i, j] for i, row in enumerate(self.up) for j in _bits(row)],
+            "order": list(map(list, self._pairs(self.up))),
         }
 
     def to_dot(self) -> str:
@@ -110,7 +109,21 @@ class IdealLattice:
     @staticmethod
     def _pairs(rows) -> list:
         """The (i, j) with bit j set in ``rows[i]``, in sorted order."""
-        return [(i, j) for i, row in enumerate(rows) for j in _bits(row)]
+        cols = range(len(rows))  # the rows are as wide as they are many
+        return [(i, j) for i, row in enumerate(rows) for j in compress(cols, _flags(row))]
+
+
+#: Maps the digits of ``bin`` to flag bytes: b"0" to 0 and b"1" to 1.
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask: int) -> bytes:
+    """One flag per bit of ``mask``, lowest first, for ``itertools.compress``.
+
+    Wide masks (the lattice rows) are scanned faster this way than by
+    ``graph._bits``, which stays the tool for masks over a graph's vertices.
+    """
+    return bin(mask)[:1:-1].encode().translate(_FLAG_BYTES)
 
 
 #: Characters of a lattice label's own syntax; names holding one are quoted.
@@ -178,32 +191,32 @@ def saturated_hereditary_sets(g: Graph, max_vertices: int = 16) -> list:
 
 def admissible_pairs(g: Graph, max_vertices: int = 16) -> IdealLattice:
     """Enumerate every admissible pair and the containment order between them."""
-    nodes = []
+    n = g.n
+    entries = []  # (sort key, pair, key mask)
     for H in saturated_hereditary_sets(g, max_vertices):
-        bv = sorted(_names(g, _breaking_mask(g, _mask(g, H))))
-        for k in range(len(bv) + 1):
-            for combo in combinations(bv, k):
-                nodes.append(AdmissiblePair(H, frozenset(combo)))
-    nodes.sort(key=lambda p: (len(p.h), sorted(p.h), len(p.s), sorted(p.s)))
-    nodes = tuple(nodes)
+        h, named = _mask(g, H), sorted(H)
+        breaking = sorted((g.vertices[i], 1 << i) for i in _bits(_breaking_mask(g, h)))
+        for k in range(len(breaking) + 1):
+            for combo in combinations(breaking, k):
+                s = [v for v, _ in combo]  # sorted, as ``breaking`` is
+                hs = h | sum(bit for _, bit in combo)
+                entries.append(((len(H), named, k, s), AdmissiblePair(H, frozenset(s)),
+                                h | hs << n))
+    entries.sort(key=lambda e: e[0])
+    nodes = tuple(e[1] for e in entries)
     # a <= b iff H_a ⊆ H_b and H_a ∪ S_a ⊆ H_b ∪ S_b (S is disjoint from H):
     # one subset test on both masks side by side.  Bit-sliced: ``has[b]``
     # holds the nodes whose key has bit b, and the nodes above a are those
     # in ``has[b]`` for every bit b of a's key.  A node is below only nodes
     # sorted after it, since a smaller H has fewer vertices and an equal H
     # forces S_a ⊆ S_b; ``hasse_edges`` relies on this.
-    keys = [_mask(g, p.h) | _mask(g, p.h | p.s) << g.n for p in nodes]
-    has = [0] * (2 * g.n)
-    for i, key in enumerate(keys):
-        for b in _bits(key):
-            has[b] |= 1 << i
-    up, everyone = [], (1 << len(keys)) - 1
-    for key in keys:
-        row = everyone
-        for b in _bits(key):
-            row &= has[b]
-        up.append(row)
-    return IdealLattice(nodes, tuple(up))
+    keys = [e[2] for e in entries]
+    # Transposed: column c of the fixed-width binary keys is bit 2n-1-c.
+    columns = zip(*[f"{key:0{2 * n}b}" for key in keys])
+    has = [int("".join(col)[::-1], 2) for col in columns][::-1]
+    everyone = (1 << len(keys)) - 1
+    up = tuple(reduce(and_, compress(has, _flags(key)), everyone) for key in keys)
+    return IdealLattice(nodes, up)
 
 
 def restriction_graph(g: Graph, pair: AdmissiblePair) -> Graph:

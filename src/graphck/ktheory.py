@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import InternalError, ValidationError
 from .graph import Graph
@@ -71,11 +72,8 @@ def _identity(n: int) -> Matrix:
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    cols = len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def det_int(m: Matrix) -> int:
@@ -95,10 +93,11 @@ def det_int(m: Matrix) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
+        pivot, tail = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [(x * pivot - lead * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
     return sign * a[-1][-1]
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MoveError, ValidationError
-from .graph import _INF, EdgeRef, Graph, _Reach, _with, fresh_names
+from .graph import _INF, EdgeRef, Graph, _Degrees, _Reach, _with, fresh_names
 
 
 class _Remainder:
@@ -200,7 +200,9 @@ def move_T(g: Graph, path) -> Graph:
     The first edge of the path must already have infinitely many
     parallels; the effect on the adjacency is to set the entry from the
     path's source to its range to ∞.  The source already reaches the
-    range along the path, so reachability, when known, is carried over.
+    range along the path, so reachability, when known, is carried over;
+    the source already emits infinitely many edges, so known degrees are
+    too, with only the range's in-degree set to ∞.
     """
     path = list(path)
     if len(path) < 2:
@@ -220,6 +222,10 @@ def move_T(g: Graph, path) -> Graph:
         succ = g._reach.succ[:]
         succ[i] |= 1 << j
         out._reach = _Reach(succ, g._reach.reach)  # never mutated, so shared
+    if g._degrees is not None:
+        into = g._degrees.into[:]
+        into[j] = _INF
+        out._degrees = _Degrees(g._degrees.out, into, g._degrees.kind)  # shared likewise
     return out
 
 

@@ -1,5 +1,7 @@
 """Small named graphs shared across the test suite."""
 
+import random
+
 from graphck import make_graph
 
 
@@ -39,3 +41,27 @@ def inf_dag():
 def mixed_emitter():
     # u emits infinitely to w and twice to z; w and z carry two loops
     return make_graph(["u", "w", "z"], [[0, "inf", 2], [0, 2, 0], [0, 0, 2]])
+
+
+def block_graph(seed):
+    """Twelve vertices in nine cyclic blocks, upper-triangular, with four ∞ edges.
+
+    Seed 1 gives a lattice of 400 admissible pairs.
+    """
+    blocks = [2, 1, 1, 1, 2, 1, 1, 1, 2]
+    rng, pattern = random.Random(seed), random.Random(6)
+    n = sum(blocks)
+    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in blocks:
+        for k in range(size):
+            rows[start + k][start + (k + 1) % size] = rng.randint(1, 2)
+        start += size
+    for i in range(n):
+        for j in range(n):
+            if owner[j] > owner[i] and pattern.random() < 0.08:
+                rows[i][j] = rng.randint(1, 2)
+    for i in pattern.sample(range(n - blocks[-1]), 4):
+        rows[i][pattern.choice([j for j in range(n) if owner[j] > owner[i]])] = "inf"
+    return make_graph([f"b{i}" for i in range(n)], rows)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sample_graphs import inf_to_loop, mixed_emitter, two_loops
+from sample_graphs import block_graph, inf_to_loop, mixed_emitter, two_loops
 
 import graphck
 from graphck import ExtNat, Graph, MoveRecord, corner_graph, remove_regular_sources, replay
@@ -297,6 +297,17 @@ def test_verify_negative_corpus_is_one_error_line(capsys):
     assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("graph", [two_loops, lambda: Graph([], [])], ids=["one-vertex", "empty"])
+def test_ideals_negative_max_vertices_is_one_error_line(tmp_path, capsys, graph):
+    assert main(["ideals", write_graph(tmp_path, graph()), "--max-vertices", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: --max-vertices must be >= 0, got -1\n")
+
+
+def test_ideals_zero_max_vertices_takes_the_empty_graph(tmp_path, capsys):
+    assert main(["ideals", write_graph(tmp_path, Graph([], [])), "--max-vertices", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"nodes": [{"H": [], "S": []}], "order": [[0, 0]]}
+
+
 def test_unitize_head_for_unknown_vertex_is_one_error_line(tmp_path, capsys):
     gpath = write_graph(tmp_path, two_loops())
     cpath = tmp_path / "corner.json"
@@ -359,6 +370,11 @@ def twelve_vertex_chains():
     return Graph([f"x{i}" for i in range(12)], rows)
 
 
+def four_hundred_pairs():
+    """A 12-vertex block graph whose lattice has 400 nodes and 21,624 order pairs."""
+    return block_graph(1)
+
+
 def through_vertex():
     return Graph(["x", "u", "y"], [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -371,6 +387,7 @@ def through_vertex():
         (["move", "{g}", "--op", "collapse", "--vertex", "u", "--trace", "{trace}"],
          through_vertex),
         (["ideals", "{g}"], twelve_vertex_chains),
+        (["ideals", "{g}"], four_hundred_pairs),
         (["corner", "{g}", "--multiplicities", '{"v": "inf", "w": 2}'], inf_to_loop),
         (["corner", "{g}", "--multiplicities", '{"a": 3}', "--realize"], two_loops),
         (["unitize", "{corner}"], inf_to_loop),

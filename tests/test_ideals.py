@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import graphs
-from sample_graphs import edge_to_sink, inf_to_loop, two_loops
+from sample_graphs import block_graph, edge_to_sink, inf_to_loop, two_loops
 
 from graphck import (
     DomainError,
@@ -206,7 +206,7 @@ class TestLatticeRows:
             assert lattice.hasse_edges() == _brute_force_covers(lattice), g.to_json()
 
     def test_block_graph_order_matches_the_definition(self):
-        lattice = admissible_pairs(_block_graph(1))
+        lattice = admissible_pairs(block_graph(1))
         nodes = lattice.nodes
         assert len(nodes) >= 400
         assert lattice.order == {
@@ -247,27 +247,6 @@ class TestEnumerationAgainstDefinitions:
             admissible_pairs(g, max_vertices=4)
 
 
-def _block_graph(seed):
-    """Twelve vertices in nine cyclic blocks, upper-triangular, with four ∞ edges."""
-    blocks = [2, 1, 1, 1, 2, 1, 1, 1, 2]
-    rng, pattern = random.Random(seed), random.Random(6)
-    n = sum(blocks)
-    owner = [b for b, size in enumerate(blocks) for _ in range(size)]
-    rows = [[0] * n for _ in range(n)]
-    start = 0
-    for size in blocks:
-        for k in range(size):
-            rows[start + k][start + (k + 1) % size] = rng.randint(1, 2)
-        start += size
-    for i in range(n):
-        for j in range(n):
-            if owner[j] > owner[i] and pattern.random() < 0.08:
-                rows[i][j] = rng.randint(1, 2)
-    for i in pattern.sample(range(n - blocks[-1]), 4):
-        rows[i][pattern.choice([j for j in range(n) if owner[j] > owner[i]])] = "inf"
-    return make_graph([f"b{i}" for i in range(n)], rows)
-
-
 def _emitted(data) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -279,17 +258,57 @@ def _emitted(data) -> str:
 IDEALS_GOLDEN = "9468fe0648472ea4abb304b154ff76025561130544cc82f01f369fe015c7fc5e"
 
 
-def test_ideals_outputs_match_golden_hash():
-    block = _block_graph(1)
-    graphs = [
+def _golden_graphs() -> list:
+    """800 seeded seven-vertex draws from two entry pools, then the 400-pair block graph."""
+    return [
         random_graph(random.Random(s), 7, entries)
         for entries in (DEFAULT_ENTRIES, (0, 0, 0, 0, 0, 1, 2, "inf"))
         for s in range(400)
-    ] + [block]
-    assert len(admissible_pairs(block).nodes) >= 400
+    ] + [block_graph(1)]
+
+
+def test_ideals_outputs_match_golden_hash():
+    graphs = _golden_graphs()
+    assert len(admissible_pairs(graphs[-1]).nodes) >= 400
     digest = hashlib.sha256()
     for g in graphs:
         lattice = admissible_pairs(g)
         digest.update(_emitted(lattice.to_json()).encode())
         digest.update(_emitted(lattice.to_dot()).encode())
     assert digest.hexdigest() == IDEALS_GOLDEN
+
+
+def _loops(names):
+    """One looped vertex per name: every subset is hereditary and saturated."""
+    return make_graph(names, [[int(i == j) for j in range(len(names))] for i in range(len(names))])
+
+
+def _escaped_names():
+    """Names that JSON escapes, on a graph whose lattice has a breaking vertex."""
+    names = ['v"\\', "w\n\t", "x\x00\u2028", "é😀"]
+    return make_graph(names, [[0, "inf", 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+
+
+def test_cli_lattice_text_is_the_emitted_json_on_the_golden_graphs():
+    for g in _golden_graphs():
+        lattice = admissible_pairs(g)
+        assert _emitted(cli._lattice_text(lattice)) == _emitted(lattice.to_json()), g.to_json()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [make_graph([], []), _loops([f"v{i}" for i in range(7)]), _escaped_names()],
+    ids=["no-vertices", "128-nodes", "escaped-names"],
+)
+def test_cli_lattice_text_is_the_emitted_json(g):
+    lattice = admissible_pairs(g)
+    assert _emitted(cli._lattice_text(lattice)) == _emitted(lattice.to_json())
+
+
+def test_lattice_text_cases_are_what_they_claim():
+    empty = admissible_pairs(make_graph([], [])).to_json()
+    assert empty == {"nodes": [{"H": [], "S": []}], "order": [[0, 0]]}
+    assert len(admissible_pairs(_loops([f"v{i}" for i in range(7)])).nodes) == 128
+    escaped = admissible_pairs(_escaped_names())
+    assert any(p.s for p in escaped.nodes)
+    assert '\\"' in _emitted(escaped.to_json())  # the quote in v"\\ is escaped

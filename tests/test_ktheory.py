@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,8 @@ import oracles
 from conftest import graphs
 from sample_graphs import edge_to_sink, inf_dag, looped_pair, one_loop, two_loops
 
-from graphck import k0_reduce, k_groups, reg_matrix, smith_normal_form
-from graphck.ktheory import k0_add
+from graphck import InternalError, k0_reduce, k_groups, reg_matrix, smith_normal_form
+from graphck.ktheory import _assert_snf, _mat_mul, det_int, k0_add
 
 matrices = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
@@ -114,3 +116,104 @@ class TestK0Reduce:
 
         with pytest.raises(ValidationError):
             k0_reduce(two_loops(), [1, 2])
+
+
+def _naive_product(a, b):
+    inner, cols = len(b), len(b[0]) if b else 0
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(len(a))
+    ]
+
+
+def _random_matrix(rng, rows, cols, span=9):
+    return [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
+
+
+class TestSelfCheckHelpers:
+    def test_mat_mul_is_the_naive_product(self):
+        rng = random.Random(2024)
+        shapes = [(1, 1, 1), (1, 5, 1), (1, 1, 5), (3, 1, 4), (2, 3, 5), (5, 4, 2), (6, 6, 6)]
+        shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(40)]
+        for rows, inner, cols in shapes:
+            a, b = _random_matrix(rng, rows, inner), _random_matrix(rng, inner, cols)
+            assert _mat_mul(a, b) == _naive_product(a, b), (a, b)
+        big = [[2**70, -1], [3, 2**65]]
+        assert _mat_mul(big, big) == _naive_product(big, big)
+
+    @pytest.mark.parametrize(
+        "a, b, product",
+        [
+            ([], [], []),
+            ([], [[1, 2]], []),
+            ([[1], [2]], [], [[], []]),
+            ([[], []], [], [[], []]),
+            ([[1, 2]], [[3], [4]], [[11]]),
+            ([[1], [2]], [[3, 4]], [[3, 4], [6, 8]]),
+            ([[1, 2], [3, 4]], [[], []], [[], []]),
+        ],
+    )
+    def test_mat_mul_on_thin_and_empty_shapes(self, a, b, product):
+        assert _mat_mul(a, b) == product
+
+    def test_det_int_is_the_cofactor_expansion(self):
+        rng = random.Random(7)
+        for n in range(7):
+            for _ in range(30):
+                m = _random_matrix(rng, n, n, span=rng.choice([1, 3, 9]))
+                assert det_int(m) == oracles._det(m), m
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[0, 1], [1, 0]],
+            [[0, 2, 1], [0, 1, 3], [4, 0, 5]],
+            [[1, 1, 1], [1, 1, 2], [2, 3, 1]],  # the second pivot becomes 0
+            [[0, 0, 1, 2], [0, 3, 0, 1], [5, 0, 0, 0], [1, 2, 3, 4]],
+            [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # no nonzero pivot: singular
+            [[1, 2, 3], [2, 4, 6], [1, 0, 1]],
+        ],
+    )
+    def test_det_int_swaps_past_zero_pivots(self, m):
+        assert det_int(m) == oracles._det(m)
+
+    def test_det_int_leaves_its_argument(self):
+        m = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+        copy = [row[:] for row in m]
+        det_int(m)
+        assert m == copy
+
+    def test_det_int_with_zero_pivots_over_seeds(self):
+        rng = random.Random(11)
+        for n in range(2, 7):
+            for _ in range(30):
+                m = _random_matrix(rng, n, n, span=2)
+                for row in rng.sample(m, rng.randint(1, n)):
+                    row[0] = 0  # a zero in the first pivot column, often at the pivot
+                assert det_int(m) == oracles._det(m), m
+
+    @pytest.mark.parametrize("part", ["s", "u", "v"])
+    def test_assert_snf_rejects_a_corrupted_factor(self, part):
+        m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+        s, u, v = smith_normal_form(m)
+        rank = sum(1 for i in range(3) if s[i][i])
+        _assert_snf(m, s, u, v, rank)
+        factors = {"s": s, "u": u, "v": v}
+        for i in range(3):
+            for j in range(3):
+                for delta in (1, -1):
+                    bad = {k: [row[:] for row in x] for k, x in factors.items()}
+                    bad[part][i][j] += delta
+                    with pytest.raises(InternalError):
+                        _assert_snf(m, bad["s"], bad["u"], bad["v"], rank)
+
+    def test_assert_snf_rejects_unimodularity_and_chain_breaks(self):
+        # S = U·M·V holds, but U or V has determinant 2
+        with pytest.raises(InternalError, match="unimodular"):
+            _assert_snf([[1]], [[2]], [[2]], [[1]], 1)
+        with pytest.raises(InternalError, match="unimodular"):
+            _assert_snf([[1]], [[2]], [[1]], [[2]], 1)
+        # diagonal and unimodular, but 2 does not divide 3
+        with pytest.raises(InternalError, match="divisibility"):
+            _assert_snf([[2, 0], [0, 3]], [[2, 0], [0, 3]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], 2)
+        with pytest.raises(InternalError, match="diagonal"):
+            _assert_snf([[1, 1], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], 2)

@@ -28,7 +28,7 @@ from graphck import (
     split_breaking,
 )
 from graphck.corpus import random_move
-from graphck.graph import _reach_of, dominates, shortest_nonzero_path
+from graphck.graph import _degrees_of, _reach_of, dominates, shortest_nonzero_path
 
 
 class TestOutSplit:
@@ -166,7 +166,7 @@ class TestMoveT:
     @given(graphs(max_vertices=5, entries=(0, 0, 1, 2, "inf")))
     @example(make_graph(["v", "w"], [["inf", "inf"], [1, 0]]))
     def test_carried_reachability_is_the_fresh_one(self, g):
-        reach = g._reachability()
+        reach, degrees = g._reachability(), g._degs()
         for v in g.vertices:
             for w in g.successors(v):
                 if not g.a(v, w).is_infinite:
@@ -179,6 +179,8 @@ class TestMoveT:
                     out = move_T(g, path)
                     assert out._reach == _reach_of(out._rows)
                     assert out._reach.reach is reach.reach
+                    assert out._degrees == _degrees_of(out._rows)
+                    assert out._degrees.out is degrees.out and out._degrees.kind is degrees.kind
 
 
 class TestColumnAdd:
