@@ -22,12 +22,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import InternalError, NotFoundError, ValidationError
+from .errors import InternalError, ValidationError
 from .graph import (
     EdgeRef,
     Graph,
     _bits,
-    dominates,
+    _cycle_mates,
+    _first,
+    _reached_by,
     shortest_nonzero_path,
     simple_cycle_count_at,
 )
@@ -94,10 +96,7 @@ def _missing_edges(g: Graph):
 
 def companion(g: Graph, v: str):
     """First regular vertex on a common cycle with ``v``, or None."""
-    for w in g.vertices:
-        if g.is_regular(w) and dominates(g, v, w) and dominates(g, w, v):
-            return w
-    return None
+    return _first(g, g._emitting().regular & _cycle_mates(g, g.index(v)))
 
 
 def _fuel(g: Graph) -> int:
@@ -147,11 +146,10 @@ def canonicalize(g: Graph) -> tuple:
     )
 
     # 2: infinite emitters emit (infinitely) to everything they dominate
-    cur = pipe.graph
-    for v in [v for v in cur.vertices if cur.is_infinite_emitter(v)]:
-        for w in cur.vertices:
-            if dominates(pipe.graph, v, w):
-                pipe.do("T", {"path": shortest_nonzero_path(pipe.graph, v, w)})
+    cur = pipe.graph  # T moves keep reachability, so cur's answers hold throughout
+    for i, v in enumerate(cur.vertices):
+        for j in _bits(cur._reachability().reach[i]) if cur.is_infinite_emitter(v) else ():
+            pipe.do("T", {"path": shortest_nonzero_path(pipe.graph, v, cur.vertices[j])})
 
     # 3: no regular sources
     pipe.extend(_remove_sources(pipe.graph))
@@ -207,14 +205,10 @@ def _repair(pipe: _Pipeline, defects, closing_path) -> None:
 def _short_cycle(g: Graph, v: str) -> list:
     """Shortest interior-simple cycle of length >= 2 based at ``v``."""
     best = None
-    for u in g.successors(v):
-        if u == v:
-            continue
-        try:
-            path = shortest_nonzero_path(g, u, v)
-        except NotFoundError:
-            continue
-        candidate = [v] + path
+    i = g.index(v)
+    # the successors of v, other than v itself, that have a path back to v
+    for j in _bits(g._reachability().succ[i] & _reached_by(g, i) & ~(1 << i)):
+        candidate = [v] + shortest_nonzero_path(g, g.vertices[j], v)
         interior = candidate[:-1]
         if len(set(interior)) != len(interior):
             continue

@@ -66,22 +66,6 @@ def _indented(data, pad: str = "\n") -> str:
     if kind is list:
         if not data:
             return "[]"
-        if type(data[0]) is list and all(type(row) is list for row in data):
-            # Rows of scalars (index pairs, adjacency matrices): re-indent the
-            # C encoder's compact text.  A nested list or a "[" in a string
-            # breaks the first count, an empty row or a ", " in a string the
-            # second; so when both hold and no object occurs, the rows are flat
-            # and non-empty, ", " separates only items and "], [" only rows.
-            flat = json.dumps(data, ensure_ascii=False)
-            if (
-                flat.count("[") == len(data) + 1
-                and flat.count(", ") == sum(map(len, data)) - 1
-                and "{" not in flat
-            ):
-                deeper = inner + "  "
-                body = flat[2:-2].replace(", ", "," + deeper)
-                body = body.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-                return "[" + inner + "[" + deeper + body + inner + "]" + pad + "]"
         items = [_indented(x, inner) for x in data]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict and all(type(key) is str for key in data):

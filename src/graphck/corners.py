@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import CannotRealizeError, DomainError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import EdgeRef, Graph, _raw, dominates, fresh_names, is_hereditary
+from .graph import EdgeRef, Graph, _closure_mask, _mask, _raw, fresh_names
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,19 @@ def build_EH(g: Graph, H) -> Graph:
     explicitly, so every vertex outside H must be a finite emitter.
     """
     H = frozenset(H)
-    for v in H:
-        g.index(v)
-    if not is_hereditary(g, H):
+    h = _mask(g, H)
+    if _closure_mask(g, h) != h:
         raise DomainError("H is not hereditary")
+    reach = g._reachability().reach
     comp = [v for v in g.vertices if v not in H]
     for v in comp:
         if not g.is_regular(v):
             raise DomainError(f"vertex {v!r} outside H is not regular")
-        if not any(dominates(g, v, h) for h in H):
+        if not reach[g.index(v)] & h:
             raise DomainError(f"vertex {v!r} outside H does not dominate H")
-    inner = g.induced(comp)
-    if any(dominates(inner, v, v) for v in inner.vertices):
+    # H is hereditary, so a cycle through a vertex outside H never enters H:
+    # the cycles of g through those vertices are those of the subgraph outside H
+    if any(reach[i] >> i & 1 for i in map(g.index, comp)):
         raise DomainError("the subgraph outside H has a cycle")
 
     paths = _entering_paths(g, H, comp)

@@ -460,6 +460,21 @@ def _closure_mask(g: Graph, m: int) -> int:
     return out
 
 
+def _reached_by(g: Graph, i: int) -> int:
+    """The positions with a path of length >= 1 to position ``i``: column ``i`` of ``reach``."""
+    return sum(1 << k for k, row in enumerate(g._reachability().reach) if row >> i & 1)
+
+
+def _cycle_mates(g: Graph, i: int) -> int:
+    """The positions on a common cycle with position ``i``; ``i`` itself when it is on a cycle."""
+    return g._reachability().reach[i] & _reached_by(g, i)
+
+
+def _first(g: Graph, mask: int):
+    """The vertex at the lowest set bit of ``mask``, or None when it is 0."""
+    return g.vertices[(mask & -mask).bit_length() - 1] if mask else None
+
+
 def _saturate_mask(g: Graph, m: int) -> int:
     """Add regular vertices whose edges all land inside, until none is left."""
     succ, regular = g._reachability().succ, g._emitting().regular
@@ -563,11 +578,9 @@ def simple_cycle_count_at(g: Graph, v: str) -> int:
     r = g._reachability()
     if not r.reach[i] >> i & 1:
         return 0
-    # v's strongly connected component: the vertices v reaches that reach v
-    comp = [j for j in range(g.n) if r.reach[i] >> j & 1 and r.reach[j] >> i & 1]
-    mask = sum(1 << j for j in comp)
-    for j in comp:
-        inner = r.succ[j] & mask
+    comp = _cycle_mates(g, i)  # v's strongly connected component
+    for j in _bits(comp):
+        inner = r.succ[j] & comp
         if inner & (inner - 1) or g._rows[j][inner.bit_length() - 1] != 1:
             return 2
     return 1

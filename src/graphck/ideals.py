@@ -25,9 +25,8 @@ from .graph import (
     _mask,
     _names,
     _quoted,
+    _reached_by,
     _saturate_mask,
-    is_hereditary,
-    is_saturated,
 )
 
 
@@ -172,7 +171,7 @@ def saturated_hereditary_sets(g: Graph, max_vertices: int = 16) -> list:
         )
     n = g.n
     below = [reach | 1 << i for i, reach in enumerate(g._reachability().reach)]
-    above = [sum(1 << u for u in range(n) if below[u] >> i & 1) for i in range(n)]
+    above = [_reached_by(g, i) | 1 << i for i in range(n)]
     found = []
     stack = [(0, 0, 0)]  # (next vertex, put in, left out)
     while stack:
@@ -228,11 +227,12 @@ def restriction_graph(g: Graph, pair: AdmissiblePair) -> Graph:
     H, S = pair.h, pair.s
     for v in H | S:
         g.index(v)
-    if not (is_hereditary(g, H) and is_saturated(g, H)):
+    h = _mask(g, H)
+    if _closure_mask(g, h) != h or _saturate_mask(g, h) != h:
         raise DomainError("H is not saturated hereditary")
-    if not S <= breaking_vertices(g, H):
+    if _mask(g, S) & ~_breaking_mask(g, h):
         raise DomainError("S contains non-breaking vertices")
     sub = g.induced(H | S)
-    h = _mask(sub, H)
-    rows = tuple({j: m for j, m in row.items() if h >> j & 1} for row in sub._rows)
+    inside = _mask(sub, H)
+    rows = tuple({j: m for j, m in row.items() if inside >> j & 1} for row in sub._rows)
     return Graph._trusted(sub.vertices, rows)

@@ -325,18 +325,41 @@ class MoveRecord:
 
     @staticmethod
     def from_json(data) -> "MoveRecord":
+        """Read a record; ``params`` must hold the JSON-typed fields its kind needs."""
         try:
-            return MoveRecord(
+            rec = MoveRecord(
                 kind=data["kind"],
                 params=data["params"],
                 input_hash=data["input-hash"],
                 output_hash=data["output-hash"],
             )
+            fields = _PARAMS.get(rec.kind, {})  # an unknown kind is left to ``replay``
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad move record: {exc}") from exc
+        if not isinstance(rec.params, dict):
+            raise ValidationError(f"bad move record: params must be an object, got {rec.params!r}")
+        for field, (ok, what) in fields.items():
+            got = rec.params.get(field)
+            if not ok(got):
+                raise ValidationError(
+                    f"bad move record: {rec.kind} needs {field!r} as {what}, got {got!r}"
+                )
+        return rec
 
 
-MOVE_KINDS = ("O", "S", "T", "COLLAPSE", "COLADD", "BREAKSPLIT")
+_NAME = (lambda x: isinstance(x, str), "a vertex name")
+_PATH = (lambda x: isinstance(x, list) and all(map(_NAME[0], x)), "a list of vertex names")
+_CLASSES = (lambda x: isinstance(x, list), "a list of classes")
+#: Per move kind: each field of its params, with a test of its JSON type.
+_PARAMS = {
+    "O": {"vertex": _NAME, "classes": _CLASSES},
+    "S": {"vertex": _NAME},
+    "T": {"path": _PATH},
+    "COLLAPSE": {"vertex": _NAME},
+    "COLADD": {"source": _NAME, "target": _NAME},
+    "BREAKSPLIT": {"vertex": _NAME},
+}
+MOVE_KINDS = tuple(_PARAMS)
 
 
 def _dispatch(g: Graph, kind: str, params: dict) -> Graph:

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import DomainError, InternalError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import EdgeRef, Graph, dominates, hereditary_closure, reaches, saturate
+from .graph import EdgeRef, Graph, _bits, _closure_mask, _first, _mask, _reached_by, _saturate_mask
 from .ktheory import K0Class, k0_reduce
 from .canonical import companion, is_stably_complete
 
@@ -239,7 +239,7 @@ def _require_full(g: Graph, seq: ProjectionSequence) -> None:
 
 def _generates(g: Graph, support) -> bool:
     """Whether the saturated hereditary closure of ``support`` is everything."""
-    return saturate(g, hereditary_closure(g, support)) == frozenset(g.vertices)
+    return _saturate_mask(g, _closure_mask(g, _mask(g, support))) == (1 << g.n) - 1
 
 
 def head_T(seq: ProjectionSequence, v: str) -> frozenset:
@@ -432,9 +432,9 @@ def _fresh_parallel_edge(
     skipped so later repetitions stay disjoint.
     """
     cap = g.a(src, dst)
-    used = {e.index for e in _all_indices(seq, src, dst)}
-    used |= {e.index for e in avoid}
-    window_floor = _tail_window_floor(seq, src, dst)
+    tail = () if seq.tail is None else (seq.tail,)
+    used = {e.index for e in avoid}.union(_indices(seq.head + tail, src, dst))
+    window_floor = min(_indices(tail, src, dst), default=None)
     i = 0
     while True:
         if cap.is_finite and i >= int(cap):
@@ -447,29 +447,13 @@ def _fresh_parallel_edge(
         i += 1
 
 
-def _all_indices(seq: ProjectionSequence, src: str, dst: str):
-    for c in seq.head:
+def _indices(systems, src: str, dst: str):
+    """The indices of the edges ``src → dst`` in the T sets of ``systems``."""
+    for c in systems:
         for _, t, _ in c.terms:
             for e in t:
                 if e.src == src and e.dst == dst:
-                    yield e
-    if seq.tail is not None:
-        for _, t, _ in seq.tail.terms:
-            for e in t:
-                if e.src == src and e.dst == dst:
-                    yield e
-
-
-def _tail_window_floor(seq: ProjectionSequence, src: str, dst: str):
-    if seq.tail is None:
-        return None
-    indices = [
-        e.index
-        for _, t, _ in seq.tail.terms
-        for e in t
-        if e.src == src and e.dst == dst
-    ]
-    return min(indices) if indices else None
+                    yield e.index
 
 
 # -- the three eliminations -------------------------------------------------
@@ -516,7 +500,7 @@ def _reroute(g: Graph, c: CoefficientSystem, v: str, w: str) -> CoefficientSyste
 
 def _dominator(g: Graph, v: str):
     """First regular vertex dominating ``v``, or None."""
-    return next((w for w in g.vertices if g.is_regular(w) and dominates(g, w, v)), None)
+    return _first(g, g._emitting().regular & _reached_by(g, g.index(v)))
 
 
 def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> ProjectionSequence:
@@ -623,6 +607,7 @@ def _eliminate_undominated_emitter(
         return seq
 
     fresh_used: dict = defaultdict(set)
+    systems = seq.head + (() if seq.tail is None else (seq.tail,))
 
     def fresh(u: str, dst: str, in_template: bool) -> EdgeRef:
         if not g.a(u, dst).is_infinite:
@@ -633,7 +618,7 @@ def _eliminate_undominated_emitter(
         if in_template:
             # template additions sit in a consecutive odd run above everything
             # already used for the pair, so shifted repetitions cannot collide
-            top = max([e.index for e in _all_indices(seq, u, dst)] + list(used), default=-1)
+            top = max([*_indices(systems, u, dst), *used], default=-1)
             i = top + 1 if (top + 1) % 2 else top + 2
         else:
             avoid = {EdgeRef(u, dst, j) for j in used}
@@ -707,34 +692,31 @@ def to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
 
 def _to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
     _check_partitioned(seq)
-    t_nonempty = {}
-    t_infinite = {}
-    for v in g.vertices:
-        finite_part = head_T(seq, v)
-        inf_tail = tail_has_nonempty_T(seq, v)
-        t_nonempty[v] = bool(finite_part) or inf_tail
-        t_infinite[v] = inf_tail
+    tail = seq.tail.terms if seq.tail is not None else ()
+    infinite = _mask(g, (v for v, t, _ in tail if t))  # bit i: a nonempty T at i in the tail
+    repeated = _mask(g, (v for v, t, _ in tail if not t))  # bit i: a (i, ∅) term in the tail
+    nonempty = infinite | _mask(g, (v for c in seq.head for v, t, _ in c.terms if t))
+    totals = dict.fromkeys(g.vertices, 0)  # of the (v, ∅) terms in the head
+    for c in seq.head:
+        for v, t, n in c.terms:
+            if not t:
+                totals[v] += n
+    # bit w of above[i]: a path, possibly of length zero, from w to i
+    above = [_reached_by(g, i) | 1 << i for i in range(g.n)]
 
-    for v in g.vertices:
-        if t_nonempty[v] and not any(
-            t_infinite[w] and reaches(g, w, v) for w in g.vertices
-        ):
+    for i in _bits(nonempty):
+        if not infinite & above[i]:
             raise DomainError(
-                f"finite nonempty total T at {v!r} with no infinite T above; "
+                f"finite nonempty total T at {g.vertices[i]!r} with no infinite T above; "
                 "run the elimination rules first"
             )
 
     out = {}
-    for v in g.vertices:
-        above = [w for w in g.vertices if reaches(g, w, v)]
-        if not any(t_nonempty[w] for w in above):
-            total = ExtNat(0)
-            for c in seq.head:
-                total = total + c.as_dict().get((v, ()), 0)
-            if seq.tail is not None and (v, ()) in seq.tail.as_dict():
-                total = INF
-            out[v] = total
-        elif t_infinite[v] and not any(t_nonempty[w] for w in above if w != v):
+    for i, v in enumerate(g.vertices):
+        bit = 1 << i
+        if not nonempty & above[i]:
+            out[v] = INF if repeated & bit else ExtNat(totals[v])
+        elif infinite & bit and not nonempty & above[i] & ~bit:
             out[v] = INF
         else:
             out[v] = ExtNat(1)
@@ -761,13 +743,12 @@ def normalize_multiplicities(g: Graph, m: dict) -> dict:
     """
     if set(m) != set(g.vertices):
         raise ValidationError("multiplicity vector must cover exactly the vertices")
-    vals = {v: ExtNat.of(m[v]) for v in g.vertices}
+    vals = [ExtNat.of(m[v]) for v in g.vertices]
+    infinite = sum(1 << i for i, x in enumerate(vals) if x.is_infinite)
     out = {}
-    for v in g.vertices:
-        shadowed = any(
-            w != v and vals[w].is_infinite and reaches(g, w, v) for w in g.vertices
-        )
-        out[v] = ExtNat(1) if shadowed else vals[v]
+    for i, v in enumerate(g.vertices):
+        shadowed = infinite & ~(1 << i) & _reached_by(g, i)
+        out[v] = ExtNat(1) if shadowed else vals[i]
     return out
 
 

@@ -17,6 +17,7 @@ from sample_graphs import (
 
 from graphck import (
     InternalError,
+    MoveRecord,
     breaking_vertices,
     canonicalize,
     is_isomorphic,
@@ -160,6 +161,13 @@ def test_canonical_outputs_match_golden_hash():
         data = [out.to_json(), [r.to_json() for r in trace], is_stably_complete(g).to_json()]
         digest.update(json.dumps(data, ensure_ascii=False).encode())
     assert digest.hexdigest() == CANONICAL_GOLDEN
+
+
+def test_golden_trace_records_round_trip_through_json():
+    for s in range(400):
+        _, trace = canonicalize(random_graph(random.Random(s), max_vertices=6))
+        for rec in trace:
+            assert MoveRecord.from_json(json.loads(json.dumps(rec.to_json()))) == rec
 
 
 def test_repair_stops_at_the_fuel_bound(monkeypatch):

@@ -27,12 +27,15 @@ from graphck import (
     is_stably_complete,
     k_groups,
     make_graph,
+    normalize_multiplicities,
     reaches,
     saturate,
     simple_cycle_count_at,
     vertex_class,
 )
-from graphck.graph import shortest_nonzero_path
+from graphck.canonical import companion
+from graphck.graph import _cycle_mates, _names, _reached_by, shortest_nonzero_path
+from graphck.projcalc import _dominator
 
 
 class TestMakeGraph:
@@ -427,3 +430,29 @@ class TestIsomorphism:
         g1 = make_graph(["a", "b"], [[1, 2], [0, 1]])
         g2 = make_graph(["x", "y"], [[1, 0], [2, 1]])
         assert is_isomorphic(g1, g2)
+
+
+def _oracle_regular(g, v):
+    """Emits finitely many edges, and at least one, read off the dense row."""
+    row = g.adjacency[g.index(v)]
+    return any(row) and all(m.is_finite for m in row)
+
+
+def test_mask_answers_match_the_dominance_oracle():
+    """The reachability helpers and the answers built on them, against ``oracle_dominates``."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        g = corpus.random_graph(rng, max_vertices=6)
+        vs = g.vertices
+        dom = {(v, w): oracles.oracle_dominates(g, v, w) for v in vs for w in vs}
+        regular = [v for v in vs if _oracle_regular(g, v)]
+        for i, v in enumerate(vs):
+            reached_by = {w for w in vs if dom[w, v]}
+            mates = {w for w in vs if dom[v, w] and dom[w, v]}
+            assert _names(g, _reached_by(g, i)) == reached_by
+            assert _names(g, _cycle_mates(g, i)) == mates
+            assert companion(g, v) == next((w for w in regular if w in mates), None)
+            assert _dominator(g, v) == next((w for w in regular if w in reached_by), None)
+        m = {v: rng.choice([1, 2, 5, INF]) for v in vs}
+        shadowed = {v for v in vs if any(w != v and m[w] == INF and dom[w, v] for w in vs)}
+        assert normalize_multiplicities(g, m) == {v: 1 if v in shadowed else m[v] for v in vs}

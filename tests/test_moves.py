@@ -14,6 +14,7 @@ from graphck import (
     MoveRecord,
     Partition,
     REMAINDER,
+    ValidationError,
     apply_move,
     collapse,
     column_add,
@@ -307,3 +308,23 @@ class TestVertexCounts:
     def test_collapse_removes_exactly_one(self):
         g = make_graph(["x", "u", "y"], [[1, 2, 0], [0, 0, 1], [0, 0, 1]])
         assert collapse(g, "u").n == g.n - 1
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("S", {}, "S needs 'vertex' as a vertex name, got None"),
+        ("T", {"path": 5}, "T needs 'path' as a list of vertex names, got 5"),
+        ("COLLAPSE", [], "params must be an object, got \\[\\]"),
+        ("O", {"vertex": "a"}, "O needs 'classes' as a list of classes, got None"),
+        ("BREAKSPLIT", {"vertex": ["a"]}, "BREAKSPLIT needs 'vertex' as a vertex name"),
+        ("T", {"path": ["a", 1]}, "T needs 'path' as a list of vertex names"),
+    ],
+    ids=["S-no-vertex", "T-path-not-a-list", "params-not-an-object", "O-no-classes",
+         "vertex-not-a-name", "path-holds-a-number"],
+)
+def test_malformed_move_record_params_are_a_validation_error(kind, params, message):
+    g = two_loops()
+    data = {"kind": kind, "params": params, "input-hash": g.digest(), "output-hash": g.digest()}
+    with pytest.raises(ValidationError, match=message):
+        replay(g, MoveRecord.from_json(data))

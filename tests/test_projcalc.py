@@ -1,5 +1,10 @@
+import hashlib
+import json
+import random
+
 import pytest
 
+import gen_systems
 from sample_graphs import (
     chain_dominated,
     inf_dag,
@@ -13,23 +18,29 @@ from graphck import (
     CoefficientSystem,
     DomainError,
     EdgeRef,
+    GraphCKError,
     ProjectionSequence,
     ValidationError,
+    build_EH,
+    corner_graph,
     corner_pipeline,
     eliminate_dominated_emitter,
     eliminate_loop_emitter,
     eliminate_undominated_emitter,
     fullify,
     head_k0_class,
+    hereditary_closure,
     is_full,
     k0_class_of,
     k0_reduce,
     make_graph,
     make_partitioned,
     normalize_multiplicities,
+    realize,
     tail_instance,
     to_multiplicities,
     undominated_k0_action,
+    unitize,
 )
 
 
@@ -469,3 +480,63 @@ class TestPipelineCornerKTheory:
         assert all(m.is_finite for m in mult.values())
         expanded = realize(corner_graph(g, mult))
         assert k_groups(expanded) == k_groups(g)
+
+
+def _record(step, *args):
+    """A step's output as JSON data, or the type and message of the error it raises."""
+    try:
+        out = step(*args)
+    except GraphCKError as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(out, dict):
+        return {v: m.to_json() for v, m in out.items()}
+    return out.to_json()
+
+
+def _corner_outputs(g, s):
+    """Every projcalc and corners step on one draw, failures included, in a fixed order."""
+    out = [g.to_json(), s.to_json()]
+    out += [_record(step, g, s) for step in (corner_pipeline, fullify, make_partitioned)]
+    try:
+        part = make_partitioned(g, fullify(g, s))
+    except GraphCKError:
+        part = None
+    for cur in (s, part) if part is not None else (s,):
+        for rule in (eliminate_loop_emitter, eliminate_dominated_emitter,
+                     eliminate_undominated_emitter):
+            out += [_record(rule, g, cur, v) for v in g.vertices]
+        out.append(_record(to_multiplicities, g, cur))
+    try:
+        mult = normalize_multiplicities(g, corner_pipeline(g, s))
+    except GraphCKError:
+        return out
+    above_first = {v: 5 for v in g.vertices} | {g.vertices[0]: INF}
+    out += [_record(normalize_multiplicities, g, m) for m in ({}, above_first)]
+    out.append({v: m.to_json() for v, m in mult.items()})
+    cg = corner_graph(g, mult)
+    out += [cg.to_json(), _record(unitize, cg), _record(realize, cg)]
+    out.append(_record(build_EH, unitize(cg), g.vertices))
+    if all(h.is_finite for _, h in cg.heads):
+        out.append(_record(build_EH, realize(cg), g.vertices))
+    out += [_record(build_EH, g, hereditary_closure(g, [v])) for v in g.vertices]
+    out.append(_record(build_EH, g, [g.vertices[-1]]))
+    finite = g.induced(v for v in g.vertices if not g.is_infinite_emitter(v))
+    out += [_record(build_EH, finite, hereditary_closure(finite, [v])) for v in finite.vertices]
+    return out
+
+
+#: SHA-256 over seeded draws of the three ``gen_systems`` families, with and without a tail.
+CORNER_GOLDEN = "3dc33c4deda2a94447c973fc8b67ba6f8955e111987bd86ac6bdb456129c6d69"
+
+
+def test_corner_outputs_match_golden_hash():
+    digest = hashlib.sha256()
+    for family in (gen_systems.looped_emitter_graph, gen_systems.dominated_emitter_graph,
+                   gen_systems.undominated_emitter_graph):
+        for with_tail in (False, True):
+            for s in range(30):
+                rng = random.Random(s)
+                g = family(rng)
+                data = _corner_outputs(g, gen_systems.random_full_sequence(rng, g, with_tail))
+                digest.update(json.dumps(data, ensure_ascii=False).encode())
+    assert digest.hexdigest() == CORNER_GOLDEN
