@@ -213,9 +213,9 @@ class Graph:
         return tuple(u for u, row in zip(self.vertices, self._rows) if j in row)
 
     def edge_valid(self, e: EdgeRef) -> bool:
-        if not (self.has_vertex(e.src) and self.has_vertex(e.dst)) or e.index < 0:
+        if type(e.index) is not int or not (self.has_vertex(e.src) and self.has_vertex(e.dst)):
             return False
-        return e.index < self._mult(e.src, e.dst)
+        return 0 <= e.index < self._mult(e.src, e.dst)
 
     def _degs(self) -> "_Degrees":
         if self._degrees is None:

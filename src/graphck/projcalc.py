@@ -186,6 +186,8 @@ def tail_instance(seq: ProjectionSequence, rep: int) -> CoefficientSystem:
     """
     if seq.tail is None:
         raise DomainError("sequence has no tail")
+    if not isinstance(rep, int) or isinstance(rep, bool) or rep < 0:
+        raise ValidationError(f"repetition must be a non-negative int, got {rep!r}")
     group_sizes: dict = defaultdict(int)
     for _, t, _ in seq.tail.terms:
         for e in t:
@@ -242,20 +244,10 @@ def _generates(g: Graph, support) -> bool:
     return _saturate_mask(g, _closure_mask(g, _mask(g, support))) == (1 << g.n) - 1
 
 
-def head_T(seq: ProjectionSequence, v: str) -> frozenset:
-    """Union of the T sets at ``v`` over the head systems."""
-    out = set()
-    for c in seq.head:
-        for u, t, _ in c.terms:
-            if u == v:
-                out.update(t)
-    return frozenset(out)
-
-
-def tail_has_nonempty_T(seq: ProjectionSequence, v: str) -> bool:
-    if seq.tail is None:
-        return False
-    return any(u == v and t for u, t, _ in seq.tail.terms)
+def _nonempty_T(g: Graph, seq: ProjectionSequence) -> tuple:
+    """The masks of the vertices with a nonempty T in the head and in the tail template."""
+    tail = _mask(g, (v for v, t, _ in seq.tail.terms if t)) if seq.tail is not None else 0
+    return _mask(g, (v for c in seq.head for v, t, _ in c.terms if t)), tail
 
 
 # -- partitioning -----------------------------------------------------------
@@ -314,23 +306,16 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
 
     new_tail = None
     if seq.tail is not None:
-        base: dict = {}
-        counters: dict = {}
+        nxt: dict = {}  # the next index of each family's window, above the head's even ones
         items = []
         for v, t, n in seq.tail.terms:
             edges = []
             for e in t:
                 sd = (e.src, e.dst)
-                if sd not in base:
-                    start = max((i for i in used[sd]), default=-2) + 2
-                    if start % 2:
-                        start += 1
-                    base[sd] = start
-                    counters[sd] = 0
-                idx = base[sd] + 2 * counters[sd]
-                counters[sd] += 1
-                used[sd].add(idx)
-                edges.append(EdgeRef(e.src, e.dst, idx))
+                if sd not in nxt:
+                    nxt[sd] = max(used[sd], default=-2) + 2
+                edges.append(EdgeRef(e.src, e.dst, nxt[sd]))
+                nxt[sd] += 2
             items.append((v, edges, n))
         new_tail = CoefficientSystem.make(items)
 
@@ -354,36 +339,27 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     K₀ class of the head exactly.
     """
     _require_full(g, seq)
-    return _fullify(g, seq)
-
-
-def _fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     if not g.vertices:
         return seq
 
-    everything = frozenset(g.vertices)
-    head = list(seq.head)
     tail = seq.tail
     prefix: list = []
     support: frozenset = frozenset()
-    n = 0
-    while True:
-        if n < len(head):
-            prefix.append(head[n])
-        elif tail is not None and n == len(head):
+    while not _generates(g, support):  # the empty support generates only the empty graph
+        n = len(prefix)
+        if n < len(seq.head):
+            prefix.append(seq.head[n])
+        elif tail is not None and n == len(seq.head):
             prefix.append(tail_instance(seq, 0))
         else:
             raise InternalError("full sequence has no generating prefix")
         support |= prefix[-1].support()
-        n += 1
-        if _generates(g, support):
-            break
-    merged = prefix[0].merge(*prefix[1:]) if prefix else CoefficientSystem.empty()
-    rest = head[n:] if n <= len(head) else []
+    merged = prefix[0].merge(*prefix[1:])
 
-    terms = {(v, t): m for v, t, m in merged.terms}
-    covered = {v for v, _, _ in merged.terms}
-    while covered != everything:
+    terms = merged.as_dict()
+    covered = set(merged.support())
+    missing = g.n - len(covered)
+    for _ in range(missing):  # each round covers one more vertex
         step = next(
             (
                 (w, v)
@@ -407,7 +383,8 @@ def _fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
                 terms[(y, ())] = terms.get((y, ()), 0) + count
         else:
             key = min((t for (u, t) in terms if u == w), key=lambda t: (len(t), t))
-            f = _fresh_parallel_edge(g, ProjectionSequence((merged,), tail), w, v, set(key))
+            current = CoefficientSystem(tuple((u, t, m) for (u, t), m in terms.items()))
+            f = _fresh_parallel_edge(g, ProjectionSequence((current,), tail), w, v, set(key))
             old = terms[(w, key)]
             if old == 1:
                 del terms[(w, key)]
@@ -417,10 +394,10 @@ def _fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
             terms[(w, new_t)] = terms.get((w, new_t), 0) + 1
             terms[(v, ())] = terms.get((v, ()), 0) + 1
         covered.add(v)
-        merged = CoefficientSystem.make([(v, t, m) for (v, t), m in terms.items()])
-        terms = {(v, t): m for v, t, m in merged.terms}
 
-    return ProjectionSequence(tuple([merged] + rest), tail)
+    if missing:
+        merged = CoefficientSystem.make([(v, t, m) for (v, t), m in terms.items()])
+    return ProjectionSequence((merged,) + seq.head[len(prefix):], tail)
 
 
 def _fresh_parallel_edge(
@@ -468,14 +445,17 @@ def _companion_expansion(g: Graph, w: str, targets) -> list:
     p_{r(e)} per out-edge e of w other than the loop and one edge toward
     r; equivalently A(w, y) minus the used edges, per y.
     """
-    if not g.supports_loop(w):
+    i = g.index(w)
+    row = g._rows[i]  # finite: w is regular
+    if i not in row:
         raise InternalError(f"companion {w!r} has no loop")
     out = []
     for r in targets:
-        if r == w and g.a(w, w) < 2:
+        if r == w and row[i] < 2:
             raise InternalError(f"companion {w!r} needs a second loop")
-        for y in g.vertices:
-            count = int(g.a(w, y)) - (1 if y == w else 0) - (1 if y == r else 0)
+        for j, m in row.items():
+            y = g.vertices[j]
+            count = m - (1 if j == i else 0) - (1 if y == r else 0)
             if count > 0:
                 out.append((y, count))
     return out
@@ -503,6 +483,16 @@ def _dominator(g: Graph, v: str):
     return _first(g, g._emitting().regular & _reached_by(g, g.index(v)))
 
 
+def _require_emitter(g: Graph, seq: ProjectionSequence, v: str, looped: bool) -> None:
+    """The guard the eliminations share: ``v`` is an infinite emitter, looped iff ``looped``."""
+    _require_stably_complete(g)
+    seq.validate(g)
+    if not g.is_infinite_emitter(v):
+        raise DomainError(f"{v!r} is not an infinite emitter")
+    if g.supports_loop(v) != looped:
+        raise DomainError(f"{v!r} does not support a loop" if looped else f"{v!r} supports a loop")
+
+
 def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> ProjectionSequence:
     """Empty the T sets at an infinite emitter that supports a loop.
 
@@ -511,17 +501,13 @@ def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> Project
     expansion of the T-edge targets through w.  The K₀ class of every
     system is preserved exactly.
     """
-    _require_stably_complete(g)
-    seq.validate(g)
-    if not g.is_infinite_emitter(v):
-        raise DomainError(f"{v!r} is not an infinite emitter")
-    if not g.supports_loop(v):
-        raise DomainError(f"{v!r} does not support a loop")
+    _require_emitter(g, seq, v, looped=True)
     return _eliminate_loop_emitter(g, seq, v)
 
 
 def _eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> ProjectionSequence:
-    if not head_T(seq, v) and not tail_has_nonempty_T(seq, v):
+    head, tail = _nonempty_T(g, seq)
+    if not (head | tail) >> g.index(v) & 1:
         return seq
     w = companion(g, v)
     if w is None:
@@ -541,16 +527,13 @@ def eliminate_dominated_emitter(
     every such term; the terms are then rerouted through w exactly as in
     the looped case.  K₀ classes are preserved exactly.
     """
-    _require_stably_complete(g)
-    seq.validate(g)
-    if not g.is_infinite_emitter(v):
-        raise DomainError(f"{v!r} is not an infinite emitter")
-    if g.supports_loop(v):
-        raise DomainError(f"{v!r} supports a loop")
-    if tail_has_nonempty_T(seq, v):
+    _require_emitter(g, seq, v, looped=False)
+    head, tail = _nonempty_T(g, seq)
+    bit = 1 << g.index(v)
+    if tail & bit:
         raise DomainError(f"the total T at {v!r} is infinite")
     w = _dominator(g, v)
-    if w is None and head_T(seq, v):
+    if w is None and head & bit:
         raise DomainError(f"no regular vertex dominates {v!r}")
     return _eliminate_dominated_emitter(g, seq, v, w)
 
@@ -559,11 +542,12 @@ def _eliminate_dominated_emitter(
     g: Graph, seq: ProjectionSequence, v: str, w: str
 ) -> ProjectionSequence:
     """Reroute the T sets at ``v`` through its regular dominator ``w``."""
-    if not head_T(seq, v):
-        return seq
     last = max(
-        i for i, c in enumerate(seq.head) if any(u == v and t for u, t, _ in c.terms)
+        (i for i, c in enumerate(seq.head) if any(u == v and t for u, t, _ in c.terms)),
+        default=None,
     )
+    if last is None:
+        return seq
     merged = seq.head[0].merge(*seq.head[1 : last + 1])
     if (w, ()) not in merged.as_dict():
         raise DomainError(
@@ -586,15 +570,10 @@ def eliminate_undominated_emitter(
     one (r(e), ∅) per e ∈ T_v \\ T'.  K₀ classes move by the action
     returned from :func:`undominated_k0_action`.
     """
-    _require_stably_complete(g)
-    seq.validate(g)
-    if not g.is_infinite_emitter(v):
-        raise DomainError(f"{v!r} is not an infinite emitter")
-    if g.supports_loop(v):
-        raise DomainError(f"{v!r} supports a loop")
+    _require_emitter(g, seq, v, looped=False)
     if _dominator(g, v) is not None:
         raise DomainError(f"{v!r} has a regular dominator; use the dominated rule")
-    if tail_has_nonempty_T(seq, v):
+    if _nonempty_T(g, seq)[1] >> g.index(v) & 1:
         raise DomainError(f"the total T at {v!r} is infinite")
     return _eliminate_undominated_emitter(g, seq, v)
 
@@ -602,7 +581,7 @@ def eliminate_undominated_emitter(
 def _eliminate_undominated_emitter(
     g: Graph, seq: ProjectionSequence, v: str
 ) -> ProjectionSequence:
-    T = tuple(sorted(head_T(seq, v)))
+    T = tuple(sorted({e for c in seq.head for u, t, _ in c.terms if u == v for e in t}))
     if not T:
         return seq
 
@@ -693,9 +672,9 @@ def to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
 def _to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
     _check_partitioned(seq)
     tail = seq.tail.terms if seq.tail is not None else ()
-    infinite = _mask(g, (v for v, t, _ in tail if t))  # bit i: a nonempty T at i in the tail
+    head, infinite = _nonempty_T(g, seq)  # bit i: a nonempty T at i in the head, in the tail
     repeated = _mask(g, (v for v, t, _ in tail if not t))  # bit i: a (i, ∅) term in the tail
-    nonempty = infinite | _mask(g, (v for c in seq.head for v, t, _ in c.terms if t))
+    nonempty = head | infinite
     totals = dict.fromkeys(g.vertices, 0)  # of the (v, ∅) terms in the head
     for c in seq.head:
         for v, t, n in c.terms:
@@ -766,20 +745,16 @@ def corner_pipeline(g: Graph, seq: ProjectionSequence) -> dict:
     preserve the head's K₀ class exactly; the undominated rule twists it
     by the documented automorphism action.
     """
-    _require_full(g, seq)
-    if not g.vertices:
-        return {}
-    # each step's input is the previous step's output: checked once, above
-    seq = _make_partitioned(g, _fullify(g, seq))
+    # fullify checks the input; each later step's input is the previous step's output
+    seq = _make_partitioned(g, fullify(g, seq))
     for v in g.vertices:
         if g.is_infinite_emitter(v) and g.supports_loop(v):
             seq = _eliminate_loop_emitter(g, seq, v)
+    infinite = _nonempty_T(g, seq)[1]
     loopless = [
         v
-        for v in g.vertices
-        if g.is_infinite_emitter(v)
-        and not g.supports_loop(v)
-        and not tail_has_nonempty_T(seq, v)
+        for i, v in enumerate(g.vertices)
+        if g.is_infinite_emitter(v) and not g.supports_loop(v) and not infinite >> i & 1
     ]
     dominators = {v: _dominator(g, v) for v in loopless}
     for v in loopless:

@@ -1,5 +1,6 @@
 import json
 import random
+import types
 from collections import deque
 
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from conftest import graphs
 from sample_graphs import edge_to_sink, inf_to_loop, one_loop, two_loops
 
+import graphck
 from graphck import corpus
 from graphck import (
     INF,
@@ -417,6 +419,11 @@ class TestEdgeRefs:
         g = inf_to_loop()
         assert g.edge_valid(EdgeRef("v", "w", 10**9))
 
+    def test_only_int_indices_are_valid(self):
+        g = inf_to_loop()
+        for index in (1.5, True, "0", -1):
+            assert not g.edge_valid(EdgeRef("v", "w", index))
+
 
 class TestIsomorphism:
     def test_relabeling(self):
@@ -456,3 +463,11 @@ def test_mask_answers_match_the_dominance_oracle():
         m = {v: rng.choice([1, 2, 5, INF]) for v in vs}
         shadowed = {v for v in vs if any(w != v and m[w] == INF and dom[w, v] for w in vs)}
         assert normalize_multiplicities(g, m) == {v: 1 if v in shadowed else m[v] for v in vs}
+
+
+def test_all_names_every_public_name_but_the_modules():
+    public = {
+        name for name, value in vars(graphck).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(graphck.__all__) == sorted(public)

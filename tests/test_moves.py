@@ -94,6 +94,13 @@ class TestOutSplit:
         with pytest.raises(MoveError):
             out_split(g, "a", Partition((frozenset({EdgeRef("a", "a", 0)}),)))
 
+    @pytest.mark.parametrize("index", [0.5, True])
+    def test_non_int_edge_index_rejected(self, index):
+        g = make_graph(["a", "b"], [[0, 2], [0, 1]])
+        p = Partition((frozenset({EdgeRef("a", "b", index)}), REMAINDER))
+        with pytest.raises(MoveError, match="is not an edge"):
+            out_split(g, "a", p)
+
 
 class TestCollapse:
     def test_chain(self):

@@ -7,6 +7,7 @@ import pytest
 import gen_systems
 from sample_graphs import (
     chain_dominated,
+    edge_to_sink,
     inf_dag,
     inf_to_loop,
     looped_pair,
@@ -71,6 +72,12 @@ class TestCoefficientSystem:
         with pytest.raises(ValidationError):
             sys_of(("v", [], 0))
 
+    @pytest.mark.parametrize("index", [2.5, True])
+    def test_non_int_edge_index_is_not_an_edge(self, index):
+        g = make_graph(["b"], [["inf"]])
+        with pytest.raises(ValidationError, match="is not an edge"):
+            sys_of(("b", [("b", "b", index)], 1)).validate(g)
+
 
 class TestK0ClassOf:
     def test_trivial_cokernel(self):
@@ -105,8 +112,6 @@ class TestIsFull:
         assert is_full(g, seq(sys_of(("v", [], 1), ("w", [], 1))))
 
     def test_requires_stably_complete(self):
-        from sample_graphs import edge_to_sink
-
         with pytest.raises(DomainError):
             is_full(edge_to_sink(), seq(sys_of(("a", [], 1))))
 
@@ -341,6 +346,18 @@ class TestEliminateUndominatedEmitter:
         out = eliminate_undominated_emitter(g, s, "v")
         assert head_k0_class(g, out) == head_k0_class(g, s)
 
+    def test_template_edge_is_fresh_above_the_template_itself(self):
+        # u→x#1 is taken by the template, so the template's new u→x edge is #3
+        g = inf_dag()
+        s = seq(
+            sys_of(("v", [("v", "x", 0)], 1), ("u", [], 1)),
+            tail=sys_of(("u", [("u", "v", 0), ("u", "x", 1)], 1)),
+        )
+        out = eliminate_undominated_emitter(g, s, "v")
+        assert out.tail.as_dict() == {
+            ("u", (EdgeRef("u", "v", 0), EdgeRef("u", "x", 1), EdgeRef("u", "x", 3))): 1,
+        }
+
 
 class TestToMultiplicities:
     def test_infinite_tail_gives_infinity(self):
@@ -426,6 +443,24 @@ class TestCornerPipeline:
         out = corner_pipeline(g, s)
         assert all(m >= 1 for m in out.values())
 
+    @pytest.mark.parametrize(
+        "g, s, error",
+        [
+            (edge_to_sink(), seq(sys_of(("a", [], 1))), "DomainError"),
+            (inf_to_loop(), seq(sys_of(("q", [], 1))), "NotFoundError"),
+            (inf_to_loop(), seq(sys_of(("w", [], 1))), "DomainError"),
+        ],
+        ids=["not-stably-complete", "unknown-vertex", "not-full"],
+    )
+    def test_rejects_as_fullify_does(self, g, s, error):
+        want = _record(fullify, g, s)
+        assert want[0] == error
+        assert _record(corner_pipeline, g, s) == want
+
+    @pytest.mark.parametrize("tail", [None, CoefficientSystem.empty()])
+    def test_empty_graph_gives_no_multiplicities(self, tail):
+        assert corner_pipeline(make_graph([], []), seq(tail=tail)) == {}
+
 
 class TestTailInstance:
     def test_no_tail_rejected(self):
@@ -435,6 +470,12 @@ class TestTailInstance:
     def test_rep_zero_is_template(self):
         s = seq(tail=sys_of(("v", [("v", "w", 0)], 1)))
         assert tail_instance(s, 0) == s.tail
+
+    @pytest.mark.parametrize("rep", [-3, 1.5, True])
+    def test_rep_must_be_a_non_negative_int(self, rep):
+        s = seq(tail=sys_of(("v", [("v", "w", 0)], 1)))
+        with pytest.raises(ValidationError, match="repetition"):
+            tail_instance(s, rep)
 
 
 class TestSequenceJson:
