@@ -101,9 +101,10 @@ class Graph:
 
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
     # ``_digest`` are filled on first query (by this module, ktheory and
-    # canonical), or ``_reach`` and ``_degrees`` by ``moves.move_T`` from its
-    # input's; they are derived from the rows, so identity, hashing and
-    # serialization ignore them.
+    # canonical), or ``_reach`` and ``_degrees`` by ``moves.move_T`` and
+    # ``_degrees`` by ``moves.column_add`` from their input's; they are
+    # derived from the rows, so identity, hashing and serialization ignore
+    # them.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",

@@ -25,7 +25,7 @@ Applying a move through :func:`apply_move` also yields a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import MoveError, ValidationError
 from .graph import _INF, EdgeRef, Graph, _Degrees, _Reach, _with, fresh_names
@@ -199,23 +199,25 @@ def move_T(g: Graph, path) -> Graph:
 
     The first edge of the path must already have infinitely many
     parallels; the effect on the adjacency is to set the entry from the
-    path's source to its range to ∞.  The source already reaches the
-    range along the path, so reachability, when known, is carried over;
-    the source already emits infinitely many edges, so known degrees are
-    too, with only the range's in-degree set to ∞.
+    path's source to its range to ∞.  When that entry is ∞ already, ``g``
+    itself is returned.  The source already reaches the range along the
+    path, so reachability, when known, is carried over; the source
+    already emits infinitely many edges, so known degrees are too, with
+    only the range's in-degree set to ∞.
     """
     path = list(path)
     if len(path) < 2:
         raise MoveError("path must have length at least one")
-    for v in path:
-        g.index(v)
-    for a, b in zip(path, path[1:]):
-        if not g.a(a, b):
-            raise MoveError(f"no edge from {a!r} to {b!r} along the path")
-    if not g.a(path[0], path[1]).is_infinite:
+    at = [g.index(v) for v in path]
+    for k in range(len(at) - 1):
+        if at[k + 1] not in g._rows[at[k]]:
+            raise MoveError(f"no edge from {path[k]!r} to {path[k + 1]!r} along the path")
+    i, j = at[0], at[-1]
+    if g._rows[i][at[1]] != _INF:
         raise MoveError("the first edge of the path must have infinitely many parallels")
+    if g._rows[i].get(j) == _INF:
+        return g
     rows = list(g._rows)
-    i, j = g.index(path[0]), g.index(path[-1])
     rows[i] = _with(rows[i], j, _INF)
     out = Graph._trusted(g.vertices, tuple(rows))
     if g._reach is not None:
@@ -240,23 +242,36 @@ def column_add(g: Graph, u: str, v: str) -> Graph:
     vertex, which needs a nonempty remainder class and an incoming edge.
     Without those, the operation can change the K-theory pair (it may
     silently delete a regular vertex's last edge).
+
+    The input's degrees, which the checks compute, are carried over with
+    the changed rows' out-degrees and column ``v``'s in-degree redone.  No
+    vertex changes kind: a row gains edges only where it already emits,
+    finitely many where it emits finitely many, and ``u`` keeps at least
+    one of its two or more.
     """
     if u == v:
         raise MoveError("column operation needs distinct vertices")
-    if not g.a(u, v):
+    if not g._mult(u, v):
         raise MoveError(f"no edge from {u!r} to {v!r}")
     if g.is_source(u):
         raise MoveError(f"{u!r} is a source; the move cannot be realized")
     if g.out_degree(u) <= 1:
         raise MoveError(f"{u!r} has out-degree one; the move cannot be realized")
     rows = list(g._rows)
+    d = g._degs()
+    out = d.out[:]
     iu, j = g.index(u), g.index(v)
     for i, row in enumerate(g._rows):
         old = row.get(j, 0)
         new = old + row.get(iu, 0) - (i == iu)
         if new != old:
             rows[i] = _with(row, j, new)
-    return Graph._trusted(g.vertices, tuple(rows))
+            out[i] = sum(rows[i].values())
+    into = d.into[:]
+    into[j] = sum(row.get(j, 0) for row in rows)
+    result = Graph._trusted(g.vertices, tuple(rows))
+    result._degrees = _Degrees(out, into, d.kind)  # kinds shared, as in move_T
+    return result
 
 
 def column_ops_along_path(g: Graph, path) -> Graph:
@@ -306,14 +321,71 @@ def _finite_edges(g: Graph, u: str) -> list:
 # -- provenance -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
 class MoveRecord:
-    """A replayable record of one applied move."""
+    """A replayable record of one applied move.
 
-    kind: str
-    params: dict
-    input_hash: str
-    output_hash: str
+    ``MoveRecord(kind, params, input_hash, output_hash)`` takes the two
+    graphs' hex digests.  A record made by :func:`apply_move` holds the
+    graphs instead, hashes both on the first read of either hash (each
+    graph's own cached :meth:`Graph.digest`) and then drops them; its
+    fields read the same.  Records are immutable and compare by their
+    four fields; like a frozen dataclass, a record hashes its fields, so
+    ``hash`` raises ``TypeError`` while ``params`` is a dict.
+    """
+
+    __slots__ = ("kind", "params", "_hashes", "_graphs")
+
+    def __init__(self, kind: str, params: dict, input_hash: str, output_hash: str):
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "params", params)
+        init(self, "_hashes", (input_hash, output_hash))
+        init(self, "_graphs", None)
+
+    @classmethod
+    def _of(cls, kind: str, params: dict, g: Graph, out: Graph) -> "MoveRecord":
+        """The record of the move ``g`` → ``out``, hashing the graphs on first read."""
+        rec = cls(kind, params, None, None)
+        object.__setattr__(rec, "_graphs", (g, out))
+        return rec
+
+    def _digests(self) -> tuple:
+        if self._graphs is not None:
+            object.__setattr__(self, "_hashes", tuple(x.digest() for x in self._graphs))
+            object.__setattr__(self, "_graphs", None)
+        return self._hashes
+
+    @property
+    def input_hash(self) -> str:
+        return self._digests()[0]
+
+    @property
+    def output_hash(self) -> str:
+        return self._digests()[1]
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.params, *self._digests())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        names = ("kind", "params", "input_hash", "output_hash")
+        return "MoveRecord(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields())) + ")"
+
+    def __reduce__(self):
+        return MoveRecord, self._fields()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def to_json(self) -> dict:
         return {
@@ -325,26 +397,25 @@ class MoveRecord:
 
     @staticmethod
     def from_json(data) -> "MoveRecord":
-        """Read a record; ``params`` must hold the JSON-typed fields its kind needs."""
+        """Read a record: string ``kind`` and hashes, ``params`` with the fields its kind needs."""
         try:
-            rec = MoveRecord(
-                kind=data["kind"],
-                params=data["params"],
-                input_hash=data["input-hash"],
-                output_hash=data["output-hash"],
-            )
-            fields = _PARAMS.get(rec.kind, {})  # an unknown kind is left to ``replay``
+            fields = [data[k] for k in ("kind", "params", "input-hash", "output-hash")]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad move record: {exc}") from exc
-        if not isinstance(rec.params, dict):
-            raise ValidationError(f"bad move record: params must be an object, got {rec.params!r}")
-        for field, (ok, what) in fields.items():
-            got = rec.params.get(field)
+        kind, params, *hashes = fields
+        for name, got in zip(("kind", "input-hash", "output-hash"), (kind, *hashes)):
+            if not isinstance(got, str):
+                raise ValidationError(f"bad move record: {name!r} must be a string, got {got!r}")
+        if not isinstance(params, dict):
+            raise ValidationError(f"bad move record: params must be an object, got {params!r}")
+        # an unknown kind is left to ``replay``
+        for field, (ok, what) in _PARAMS.get(kind, {}).items():
+            got = params.get(field)
             if not ok(got):
                 raise ValidationError(
-                    f"bad move record: {rec.kind} needs {field!r} as {what}, got {got!r}"
+                    f"bad move record: {kind} needs {field!r} as {what}, got {got!r}"
                 )
-        return rec
+        return MoveRecord(*fields)
 
 
 _NAME = (lambda x: isinstance(x, str), "a vertex name")
@@ -384,13 +455,7 @@ def _dispatch(g: Graph, kind: str, params: dict) -> Graph:
 def apply_move(g: Graph, kind: str, params: dict) -> tuple:
     """Apply a move by name, returning the new graph and its record."""
     out = _dispatch(g, kind, params)
-    rec = MoveRecord(
-        kind=kind,
-        params=params,
-        input_hash=g.digest(),
-        output_hash=out.digest(),
-    )
-    return out, rec
+    return out, MoveRecord._of(kind, params, g, out)
 
 
 def _exhaust(g: Graph, kind: str, bad) -> tuple:

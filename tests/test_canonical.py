@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from sample_graphs import (
 )
 
 from graphck import (
+    Graph,
     InternalError,
     MoveRecord,
     breaking_vertices,
@@ -168,6 +170,41 @@ def test_golden_trace_records_round_trip_through_json():
         _, trace = canonicalize(random_graph(random.Random(s), max_vertices=6))
         for rec in trace:
             assert MoveRecord.from_json(json.loads(json.dumps(rec.to_json()))) == rec
+
+
+WORST_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "worst_inputs.json"
+
+
+def test_traces_hash_no_graph_until_read(monkeypatch):
+    """On the pinned slowest inputs, ``canonicalize`` hashes nothing; reading
+    its trace serializes each graph of the chain once."""
+    pinned = json.loads(WORST_INPUTS.read_text(encoding="utf-8"))["inputs"]
+    serialized = []
+    digests = []
+    canonical_json, digest = Graph.canonical_json, Graph.digest
+
+    def counted_json(g):
+        serialized.append(g)
+        return canonical_json(g)
+
+    def counted_digest(g):
+        digests.append(g)
+        return digest(g)
+
+    monkeypatch.setattr(Graph, "canonical_json", counted_json)
+    monkeypatch.setattr(Graph, "digest", counted_digest)
+    assert len(pinned) == 10
+    for p in pinned:
+        _, trace = canonicalize(Graph.from_json(p["graph"]))
+        assert digests == []
+        for rec in trace:
+            rec.to_json()
+        # a T move onto an entry that is ∞ already returns its input: one graph, two ends
+        same = sum(rec.kind == "T" and rec.input_hash == rec.output_hash for rec in trace)
+        assert len(serialized) == len(trace) + 1 - same
+        assert len({id(g) for g in serialized}) == len(serialized)
+        serialized.clear()
+        digests.clear()
 
 
 def test_repair_stops_at_the_fuel_bound(monkeypatch):

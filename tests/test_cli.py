@@ -57,6 +57,22 @@ def test_move_collapse(tmp_path, capsys):
     assert data["vertices"] == ["x", "y"]
 
 
+def test_move_t_onto_an_infinite_entry_writes_its_input(tmp_path):
+    out, trace = tmp_path / "out.json", tmp_path / "trace.json"
+    argv = ["move", write_graph(tmp_path, inf_to_loop()), "--op", "move-t", "--path", "v,w"]
+    assert main(argv + ["--out", str(out), "--trace", str(trace)]) == 0
+    assert out.read_bytes() == (
+        b'{\n  "vertices": [\n    "v",\n    "w"\n  ],\n  "adjacency": [\n'
+        b'    [\n      0,\n      "inf"\n    ],\n    [\n      0,\n      1\n    ]\n  ]\n}\n'
+    )
+    digest = "16a0cc44337161c95677712d5b93a29aa4848faa5a577a5f715c44c30fb60b77"
+    assert trace.read_bytes() == (
+        b'[\n  {\n    "kind": "T",\n    "params": {\n      "path": [\n        "v",\n'
+        b'        "w"\n      ]\n    },\n    "input-hash": "' + digest.encode() + b'",\n'
+        b'    "output-hash": "' + digest.encode() + b'"\n  }\n]\n'
+    )
+
+
 def test_move_remove_sources_cascade(tmp_path, capsys):
     # a is the only source; removing it exposes b, then c; e emits infinitely
     g = Graph(

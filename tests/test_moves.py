@@ -1,5 +1,8 @@
+import gc
 import json
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,7 @@ from sample_graphs import inf_to_loop, one_loop, two_loops
 from graphck import (
     INF,
     EdgeRef,
+    Graph,
     MoveError,
     MoveRecord,
     Partition,
@@ -28,8 +32,9 @@ from graphck import (
     replay,
     split_breaking,
 )
-from graphck.corpus import random_move
+from graphck.corpus import applicable_moves, random_graph, random_move
 from graphck.graph import _degrees_of, _reach_of, dominates, shortest_nonzero_path
+from graphck.moves import MOVE_KINDS
 
 
 class TestOutSplit:
@@ -160,6 +165,14 @@ class TestMoveT:
         g = inf_to_loop()
         assert move_T(g, ["v", "w"]) == g
 
+    def test_entry_already_infinite_returns_the_input(self):
+        g = make_graph(["v", "w", "x"], [[0, "inf", "inf"], [0, 0, 1], [0, 0, 0]])
+        assert move_T(g, ["v", "w", "x"]) is g
+        assert move_T(g, ["v", "x"]) is g
+        out, rec = apply_move(g, "T", {"path": ["v", "w", "x"]})
+        assert out is g
+        assert rec.input_hash == rec.output_hash == g.digest()
+
     def test_finite_first_edge_rejected(self):
         g = make_graph(["v", "w"], [[0, 2], [0, 0]])
         with pytest.raises(MoveError):
@@ -189,6 +202,38 @@ class TestMoveT:
                     assert out._reach.reach is reach.reach
                     assert out._degrees == _degrees_of(out._rows)
                     assert out._degrees.out is degrees.out and out._degrees.kind is degrees.kind
+
+
+def _holds_graph(obj, depth=2) -> bool:
+    """Whether ``obj`` refers to a Graph, directly or through ``depth`` levels of tuples."""
+    return any(
+        isinstance(x, Graph) or (depth and isinstance(x, tuple) and _holds_graph(x, depth - 1))
+        for x in gc.get_referents(obj)
+    )
+
+
+class TestCarriedStructure:
+    """Whatever degrees or reachability a move's output carries are those of its rows."""
+
+    @pytest.mark.parametrize("kind", MOVE_KINDS)
+    def test_carried_caches_are_the_fresh_ones(self, kind):
+        applied = 0
+        for s in range(200):
+            rng = random.Random(s)
+            g = random_graph(rng, max_vertices=5)
+            g._degs(), g._reachability()  # known on the input, so a move may carry them
+            for mv_kind, params in applicable_moves(g, rng):
+                if mv_kind != kind:
+                    continue
+                out, _rec = apply_move(g, kind, params)
+                # and once more from an output that may carry them itself
+                again = [p for k, p in applicable_moves(out, rng) if k == kind]
+                nexts = [apply_move(out, kind, p)[0] for p in again]
+                for x in [out] + nexts:
+                    assert x._degrees is None or x._degrees == _degrees_of(x._rows)
+                    assert x._reach is None or x._reach == _reach_of(x._rows)
+                applied += 1 + len(nexts)
+        assert applied >= 10
 
 
 class TestColumnAdd:
@@ -286,6 +331,40 @@ class TestRecords:
         rec2 = MoveRecord.from_json(json.loads(json.dumps(rec.to_json())))
         assert replay(g, rec2) == out
 
+    def test_lazy_record_reads_as_the_eager_one(self):
+        checked = 0
+        for s in range(60):
+            g = random_graph(random.Random(s), max_vertices=5)
+            mv = random_move(g, random.Random(s))
+            if mv is None:
+                continue
+
+            def lazy():  # a fresh record, so each check below is its first read
+                return apply_move(g, *mv)[1]
+
+            out = apply_move(g, *mv)[0]
+            eager = MoveRecord(mv[0], mv[1], g.digest(), out.digest())
+            assert lazy() == eager and eager == lazy()
+            assert lazy().to_json() == eager.to_json()
+            assert repr(lazy()) == repr(eager)
+            assert (lazy().input_hash, lazy().output_hash) == (eager.input_hash, eager.output_hash)
+            assert MoveRecord.from_json(json.loads(json.dumps(lazy().to_json()))) == eager
+            assert replay(g, lazy()) == out
+            assert pickle.loads(pickle.dumps(lazy())) == eager
+            with pytest.raises(TypeError):
+                hash(lazy())
+            checked += 1
+        assert checked >= 50
+
+    def test_record_holds_no_graph_after_its_first_read(self):
+        g = make_graph(["x", "u", "y"], [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        for read in (lambda r: r.input_hash, lambda r: r.output_hash, MoveRecord.to_json, repr):
+            _out, rec = apply_move(g, "COLLAPSE", {"vertex": "u"})
+            assert _holds_graph(rec)
+            read(rec)
+            assert not _holds_graph(rec)
+            assert isinstance(rec.input_hash, str) and isinstance(rec.output_hash, str)
+
     def test_replay_rejects_wrong_input(self):
         g = inf_to_loop()
         _out, rec = apply_move(g, "T", {"path": ["v", "w"]})
@@ -335,3 +414,17 @@ def test_malformed_move_record_params_are_a_validation_error(kind, params, messa
     data = {"kind": kind, "params": params, "input-hash": g.digest(), "output-hash": g.digest()}
     with pytest.raises(ValidationError, match=message):
         replay(g, MoveRecord.from_json(data))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("kind", ["T"]), ("input-hash", 5), ("output-hash", None)],
+    ids=["kind", "input-hash", "output-hash"],
+)
+def test_move_record_kind_and_hashes_must_be_strings(field, value):
+    g = two_loops()
+    data = {"kind": "T", "params": {"path": ["a", "b"]},
+            "input-hash": g.digest(), "output-hash": g.digest()}
+    data[field] = value
+    message = f"bad move record: '{field}' must be a string, got {re.escape(repr(value))}"
+    with pytest.raises(ValidationError, match=message):
+        MoveRecord.from_json(data)
