@@ -19,10 +19,9 @@ invariants computed by this package.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import InternalError, ValidationError
+from .errors import InternalError
 from .graph import (
     EdgeRef,
     Graph,
@@ -34,9 +33,6 @@ from .graph import (
     simple_cycle_count_at,
 )
 from .moves import REMAINDER, Partition, _exhaust, _finite_edges, _remove_sources, apply_move
-
-#: Environment variable overriding the column-operation fuel bound.
-FUEL_ENV = "GRAPHCK_FUEL"
 
 
 @dataclass(frozen=True)
@@ -96,17 +92,7 @@ def _missing_edges(g: Graph):
 
 def companion(g: Graph, v: str):
     """First regular vertex on a common cycle with ``v``, or None."""
-    return _first(g, g._emitting().regular & _cycle_mates(g, g.index(v)))
-
-
-def _fuel(g: Graph) -> int:
-    env = os.environ.get(FUEL_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"{FUEL_ENV} must be an integer, got {env!r}") from None
-    return max(1, g.n * g.n)
+    return _first(g, g._degs().regular & _cycle_mates(g, g.index(v)))
 
 
 class _Pipeline:
@@ -189,9 +175,9 @@ def _repair(pipe: _Pipeline, defects, closing_path) -> None:
     ``defects(g)`` yields the defects of ``g`` in order, and
     ``closing_path(g, defect)`` gives the path whose column adds close
     one.  A defect may come back after later repairs; each gets at most
-    the fuel bound of attempts.
+    |V|² attempts, counting the vertices of the graph the repair starts on.
     """
-    budget = _fuel(pipe.graph)
+    budget = max(1, pipe.graph.n ** 2)
     attempts: dict = {}
     while (defect := next(defects(pipe.graph), None)) is not None:
         attempts[defect] = attempts.get(defect, 0) + 1

@@ -43,9 +43,10 @@ def applicable_moves(g: Graph, rng: random.Random) -> list:
     for v in g.vertices:
         for w in g.successors(v):
             if g.a(v, w).is_infinite:
-                out.append(("T", {"path": [v, w]}))
+                # a T move onto an entry that is ∞ already changes nothing
                 for x in g.successors(w):
-                    out.append(("T", {"path": [v, w, x]}))
+                    if not g.a(v, x).is_infinite:
+                        out.append(("T", {"path": [v, w, x]}))
     for u in g.vertices:
         split = _random_split(g, u, rng)
         if split is not None:

@@ -95,10 +95,6 @@ class ExtNat:
             return NotImplemented
         return self._v == other._v
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         other = _coerce(other)
         if other is NotImplemented:

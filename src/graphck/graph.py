@@ -101,10 +101,9 @@ class Graph:
 
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
     # ``_digest`` are filled on first query (by this module, ktheory and
-    # canonical), or ``_reach`` and ``_degrees`` by ``moves.move_T`` and
-    # ``_degrees`` by ``moves.column_add`` from their input's; they are
-    # derived from the rows, so identity, hashing and serialization ignore
-    # them.
+    # canonical), or ``_reach`` by ``moves.move_T`` from its input's; they
+    # are derived from the rows, so identity, hashing and serialization
+    # ignore them.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",
@@ -185,22 +184,25 @@ class Graph:
         return _ext(self._degs().out[self.index(v)])
 
     def in_degree(self, v: str) -> ExtNat:
-        return _ext(self._degs().into[self.index(v)])
+        j = self.index(v)
+        return _ext(sum(row.get(j, 0) for row in self._rows))
 
     def _kind(self, v: str) -> str:
-        return self._degs().kind[self.index(v)]
+        if self.is_regular(v):
+            return "regular"
+        return "infinite-emitter" if self.is_infinite_emitter(v) else "sink"
 
     def is_sink(self, v: str) -> bool:
         return not self._rows[self.index(v)]
 
     def is_infinite_emitter(self, v: str) -> bool:
-        return self._kind(v) == "infinite-emitter"
+        return self._degs().out[self.index(v)] == _INF
 
     def is_regular(self, v: str) -> bool:
-        return self._kind(v) == "regular"
+        return bool(self._degs().regular >> self.index(v) & 1)
 
     def is_source(self, v: str) -> bool:
-        return not self._degs().into[self.index(v)]
+        return self.index(v) not in self._degs().receiving
 
     def supports_loop(self, v: str) -> bool:
         i = self.index(v)
@@ -230,7 +232,7 @@ class Graph:
 
     def _emitting(self) -> "_Emission":
         if self._emission is None:
-            self._emission = _emission_of(self._rows, self._reachability().succ)
+            self._emission = _emission_of(self._rows)
         return self._emission
 
     # -- identity ------------------------------------------------------
@@ -372,24 +374,18 @@ class _Reach(NamedTuple):
 
 
 class _Degrees(NamedTuple):
-    """Stored degrees and the kind of every vertex, by position.
+    """How each vertex emits and receives, by position."""
 
-    The lists are never mutated once built, so graphs may share them.
-    """
-
-    out: list  # an int, or _INF
-    into: list  # an int, or _INF
-    kind: list  # "regular" | "sink" | "infinite-emitter"
+    out: list  # out-degrees: an int, or _INF
+    regular: int  # bit i: out[i] is finite and nonzero
+    receiving: frozenset  # the positions with at least one edge in
 
 
 def _degrees_of(rows) -> _Degrees:
-    into = [0] * len(rows)
-    for row in rows:
-        for j, m in row.items():
-            into[j] += m
+    """Built in ``sum`` and ``union``, with no Python loop over row entries."""
     out = [sum(row.values()) for row in rows]
-    kind = ["infinite-emitter" if d == _INF else "regular" if d else "sink" for d in out]
-    return _Degrees(out, into, kind)
+    regular = sum(1 << i for i, d in enumerate(out) if d and d != _INF)
+    return _Degrees(out, regular, frozenset().union(*rows))
 
 
 def _reach_of(rows) -> _Reach:
@@ -407,20 +403,17 @@ def _reach_of(rows) -> _Reach:
 
 
 class _Emission(NamedTuple):
-    """How each vertex emits, as bitmasks over vertex positions.
+    """The ∞ entries of each row, as bitmasks over vertex positions.
 
-    Kept apart from :class:`_Reach`, which rewriting builds for many
+    Kept apart from :class:`_Degrees`, which rewriting builds for many
     graphs that are never asked about saturation or breaking vertices.
     """
 
     inf: list  # bit j of inf[i]: infinitely many edges i → j
-    regular: int  # bit i: i emits finitely many edges, and at least one
 
 
-def _emission_of(rows, succ) -> _Emission:
-    bits = [1 << j for j in range(len(rows))]
-    inf = [sum(bits[j] for j, m in row.items() if m == _INF) for row in rows]
-    return _Emission(inf, sum(b for b, s, i in zip(bits, succ, inf) if s and not i))
+def _emission_of(rows) -> _Emission:
+    return _Emission([sum(1 << j for j, m in row.items() if m == _INF) for row in rows])
 
 
 #: Words DOT reserves, in any case; as graph names they must be quoted.
@@ -478,7 +471,7 @@ def _first(g: Graph, mask: int):
 
 def _saturate_mask(g: Graph, m: int) -> int:
     """Add regular vertices whose edges all land inside, until none is left."""
-    succ, regular = g._reachability().succ, g._emitting().regular
+    succ, regular = g._reachability().succ, g._degs().regular
     while True:
         add = 0
         for i in _bits(regular & ~m):

@@ -234,27 +234,26 @@ def _assert_snf(m, s, u, v, rank):
 
 
 def _snf_of(g: Graph):
-    """Relation matrix, Smith form, row transform and nonzero diagonal of ``g``.
+    """The relation matrix's column count, row transform and nonzero diagonal.
 
     Computed on first use and kept with the graph, so it lives exactly as
-    long as the graph does.
+    long as the graph does; the matrix and its Smith form are not kept.
     """
     if g._snf is None:
         m = reg_matrix(g)
-        s, u, v = smith_normal_form(m)
+        s, u, _ = smith_normal_form(m)
         diag = []
         for i in range(min(len(s), len(s[0]) if s else 0)):
             if s[i][i] != 0:
                 diag.append(s[i][i])
-        g._snf = (m, s, u, diag)
+        g._snf = (len(m[0]) if m else 0, u, diag)
     return g._snf
 
 
 def k_groups(g: Graph) -> KTheoryPair:
     """K₀ as cokernel data and the K₁ free rank, via Smith normal form."""
-    m, _, _, diag = _snf_of(g)
+    cols, _, diag = _snf_of(g)
     rank = len(diag)
-    cols = len(m[0]) if m else 0
     return KTheoryPair(
         k0_invariant_factors=tuple(d for d in diag if d > 1),
         k0_free_rank=g.n - rank,
@@ -267,7 +266,7 @@ def k0_reduce(g: Graph, vector) -> K0Class:
     vec = list(vector)
     if len(vec) != g.n:
         raise ValidationError(f"vector length {len(vec)} for {g.n} vertices")
-    _, _, u, diag = _snf_of(g)
+    _, u, diag = _snf_of(g)
     y = [sum(u[i][j] * vec[j] for j in range(g.n)) for i in range(g.n)]
     return K0Class(tuple(_mod_residues(y, diag)))
 
@@ -283,6 +282,6 @@ def k0_add(g: Graph, a: K0Class, b: K0Class) -> K0Class:
     """Group addition of canonical residues (componentwise, re-reduced)."""
     if len(a.residues) != g.n or len(b.residues) != g.n:
         raise ValidationError("class residues do not match the graph")
-    _, _, _, diag = _snf_of(g)
+    _, _, diag = _snf_of(g)
     total = [x + y for x, y in zip(a.residues, b.residues)]
     return K0Class(tuple(_mod_residues(total, diag)))

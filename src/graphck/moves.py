@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import MoveError, ValidationError
-from .graph import _INF, EdgeRef, Graph, _Degrees, _Reach, _with, fresh_names
+from .graph import _INF, EdgeRef, Graph, _Reach, _with, fresh_names
 
 
 class _Remainder:
@@ -201,9 +201,7 @@ def move_T(g: Graph, path) -> Graph:
     parallels; the effect on the adjacency is to set the entry from the
     path's source to its range to ∞.  When that entry is ∞ already, ``g``
     itself is returned.  The source already reaches the range along the
-    path, so reachability, when known, is carried over; the source
-    already emits infinitely many edges, so known degrees are too, with
-    only the range's in-degree set to ∞.
+    path, so reachability, when known, is carried over.
     """
     path = list(path)
     if len(path) < 2:
@@ -224,10 +222,6 @@ def move_T(g: Graph, path) -> Graph:
         succ = g._reach.succ[:]
         succ[i] |= 1 << j
         out._reach = _Reach(succ, g._reach.reach)  # never mutated, so shared
-    if g._degrees is not None:
-        into = g._degrees.into[:]
-        into[j] = _INF
-        out._degrees = _Degrees(g._degrees.out, into, g._degrees.kind)  # shared likewise
     return out
 
 
@@ -242,12 +236,6 @@ def column_add(g: Graph, u: str, v: str) -> Graph:
     vertex, which needs a nonempty remainder class and an incoming edge.
     Without those, the operation can change the K-theory pair (it may
     silently delete a regular vertex's last edge).
-
-    The input's degrees, which the checks compute, are carried over with
-    the changed rows' out-degrees and column ``v``'s in-degree redone.  No
-    vertex changes kind: a row gains edges only where it already emits,
-    finitely many where it emits finitely many, and ``u`` keeps at least
-    one of its two or more.
     """
     if u == v:
         raise MoveError("column operation needs distinct vertices")
@@ -258,20 +246,13 @@ def column_add(g: Graph, u: str, v: str) -> Graph:
     if g.out_degree(u) <= 1:
         raise MoveError(f"{u!r} has out-degree one; the move cannot be realized")
     rows = list(g._rows)
-    d = g._degs()
-    out = d.out[:]
     iu, j = g.index(u), g.index(v)
     for i, row in enumerate(g._rows):
         old = row.get(j, 0)
         new = old + row.get(iu, 0) - (i == iu)
         if new != old:
             rows[i] = _with(row, j, new)
-            out[i] = sum(rows[i].values())
-    into = d.into[:]
-    into[j] = sum(row.get(j, 0) for row in rows)
-    result = Graph._trusted(g.vertices, tuple(rows))
-    result._degrees = _Degrees(out, into, d.kind)  # kinds shared, as in move_T
-    return result
+    return Graph._trusted(g.vertices, tuple(rows))
 
 
 def column_ops_along_path(g: Graph, path) -> Graph:

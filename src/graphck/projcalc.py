@@ -480,7 +480,7 @@ def _reroute(g: Graph, c: CoefficientSystem, v: str, w: str) -> CoefficientSyste
 
 def _dominator(g: Graph, v: str):
     """First regular vertex dominating ``v``, or None."""
-    return _first(g, g._emitting().regular & _reached_by(g, g.index(v)))
+    return _first(g, g._degs().regular & _reached_by(g, g.index(v)))
 
 
 def _require_emitter(g: Graph, seq: ProjectionSequence, v: str, looped: bool) -> None:

@@ -239,26 +239,6 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "boom" in capsys.readouterr().err
 
 
-def test_fuel_env_override(monkeypatch):
-    import graphck.canonical as canonical
-
-    monkeypatch.setenv(canonical.FUEL_ENV, "17")
-    assert canonical._fuel(two_loops()) == 17
-    monkeypatch.delenv(canonical.FUEL_ENV)
-    assert canonical._fuel(two_loops()) == 1  # |V|^2 for a single vertex
-
-
-def test_bad_fuel_env_is_one_error_line(tmp_path, monkeypatch, capsys):
-    import graphck.canonical as canonical
-
-    monkeypatch.setenv(canonical.FUEL_ENV, "abc")
-    code = main(["canonicalize", write_graph(tmp_path, mixed_emitter())])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and canonical.FUEL_ENV in err
-    assert "Traceback" not in err
-
-
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     return err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
