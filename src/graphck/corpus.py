@@ -9,9 +9,9 @@ from __future__ import annotations
 import random
 
 from .canonical import canonicalize, is_stably_complete
-from .graph import EdgeRef, Graph
+from .graph import _INF, Graph
 from .ktheory import k_groups
-from .moves import _finite_edges, apply_move
+from .moves import apply_move
 
 DEFAULT_ENTRIES = (0, 0, 0, 1, 1, 2, "inf")
 
@@ -25,59 +25,98 @@ def random_graph(rng: random.Random, max_vertices: int = 6, entries=DEFAULT_ENTR
 
 
 def applicable_moves(g: Graph, rng: random.Random) -> list:
-    """A sample of applicable (kind, params) pairs on ``g``."""
+    """Every move :func:`random_move` draws from, as (kind, params) pairs in a fixed order.
+
+    Not a sample: first each applicable S, COLLAPSE or BREAKSPLIT move in
+    vertex order, then a COLADD move for each edge ``u → v`` (``u ≠ v``)
+    out of a vertex that receives edges and emits more than one, then a
+    T move for each path ``[v, w, x]`` whose ``(v, w)`` entry is ∞ and
+    ``(v, x)`` entry is finite.  Last come out-splits, one drawn from
+    ``rng`` per vertex that has one, in vertex order.
+    """
+    return [_params(g, c) for c in _candidates(g, rng)]
+
+
+def random_move(g: Graph, rng: random.Random):
+    """``rng.choice(applicable_moves(g, rng))``, or None if there is none.
+
+    It draws from ``rng`` as that would, but builds only the move chosen.
+    """
+    candidates = _candidates(g, rng)
+    return _params(g, rng.choice(candidates)) if candidates else None
+
+
+def _candidates(g: Graph, rng: random.Random) -> list:
+    """The moves of :func:`applicable_moves`, in its order, as vertex positions."""
+    rows, degs = g._rows, g._degs()
     out = []
-    for v in g.vertices:
-        if g.is_regular(v) and not g.supports_loop(v) and not g.is_source(v):
-            out.append(("COLLAPSE", {"vertex": v}))
-        if g.is_regular(v) and g.is_source(v):
-            out.append(("S", {"vertex": v}))
-        if g.is_infinite_emitter(v) and _finite_edges(g, v):
-            out.append(("BREAKSPLIT", {"vertex": v}))
-    for u in g.vertices:
-        if g.is_source(u) or g.out_degree(u) <= 1:
-            continue
-        for v in g.successors(u):
-            if u != v:
-                out.append(("COLADD", {"source": u, "target": v}))
-    for v in g.vertices:
-        for w in g.successors(v):
-            if g.a(v, w).is_infinite:
+    for i, row in enumerate(rows):
+        if degs.regular >> i & 1:
+            if i not in degs.receiving:
+                out.append(("S", i))
+            elif i not in row:
+                out.append(("COLLAPSE", i))
+        elif degs.out[i] == _INF and any(m != _INF for m in row.values()):
+            out.append(("BREAKSPLIT", i))
+    for i, row in enumerate(rows):
+        if i in degs.receiving and degs.out[i] > 1:
+            out.extend(("COLADD", i, j) for j in row if j != i)
+    for i, row in enumerate(rows):
+        for j, m in row.items():
+            if m == _INF:
                 # a T move onto an entry that is ∞ already changes nothing
-                for x in g.successors(w):
-                    if not g.a(v, x).is_infinite:
-                        out.append(("T", {"path": [v, w, x]}))
-    for u in g.vertices:
-        split = _random_split(g, u, rng)
-        if split is not None:
-            out.append(("O", {"vertex": u, "classes": split}))
+                out.extend(("T", i, j, k) for k in rows[j] if row.get(k) != _INF)
+    for i, row in enumerate(rows):
+        drawn = _draw_split(row, rng)
+        if drawn is not None:
+            out.append(("O", i, drawn))
     return out
+
+
+def _params(g: Graph, candidate: tuple) -> tuple:
+    """The (kind, params) pair of one candidate of :func:`_candidates`."""
+    kind, *at = candidate
+    vs = g.vertices
+    if kind == "O":
+        return kind, {"vertex": vs[at[0]], "classes": _split_classes(g, *at)}
+    if kind == "COLADD":
+        return kind, {"source": vs[at[0]], "target": vs[at[1]]}
+    if kind == "T":
+        return kind, {"path": [vs[p] for p in at]}
+    return kind, {"vertex": vs[at[0]]}
 
 
 def _random_split(g: Graph, u: str, rng: random.Random):
     """A random valid two-class partition of the out-edges of ``u``."""
-    if g.is_sink(u):
-        return None
-    pool = []
-    for w in g.successors(u):
-        m = g.a(u, w)
-        pool.extend(EdgeRef(u, w, i) for i in range(3 if m.is_infinite else int(m)))
-    if g.is_infinite_emitter(u):
-        k = rng.randint(1, max(1, len(pool) // 2))
-        chosen = frozenset(rng.sample(pool, k))
-        return [sorted(e.to_json() for e in chosen), "rest"]
-    if len(pool) < 2:
-        return None
-    k = rng.randint(1, len(pool) - 1)
-    chosen = frozenset(rng.sample(pool, k))
-    rest = frozenset(pool) - chosen
-    return [sorted(e.to_json() for e in chosen), sorted(e.to_json() for e in rest)]
+    i = g.index(u)
+    drawn = _draw_split(g._rows[i], rng)
+    return None if drawn is None else _split_classes(g, i, drawn)
 
 
-def random_move(g: Graph, rng: random.Random):
-    """One random applicable move, or None if there is none."""
-    moves = applicable_moves(g, rng)
-    return rng.choice(moves) if moves else None
+def _draw_split(row: dict, rng: random.Random):
+    """Positions drawn into the first class of an out-split of ``row``, or None.
+
+    The out-edges are numbered in column order, with 3 slots for an ∞
+    family and one per edge of a finite one.  At an infinite emitter the
+    undrawn edges form the remainder class, so a single edge may be drawn.
+    """
+    size = sum(3 if m == _INF else m for m in row.values())
+    if _INF in row.values():
+        return rng.sample(range(size), rng.randint(1, max(1, size // 2)))
+    if size < 2:
+        return None
+    return rng.sample(range(size), rng.randint(1, size - 1))
+
+
+def _split_classes(g: Graph, i: int, drawn: list) -> list:
+    """The JSON classes of the out-split of position ``i`` that ``drawn`` picks."""
+    u, vs, row = g.vertices[i], g.vertices, g._rows[i]
+    pool = [[u, vs[j], k] for j, m in row.items() for k in range(3 if m == _INF else m)]
+    chosen = sorted(pool[p] for p in drawn)
+    if _INF in row.values():
+        return [chosen, "rest"]
+    picked = set(drawn)
+    return [chosen, sorted(e for p, e in enumerate(pool) if p not in picked)]
 
 
 def verify_corpus(count: int, max_vertices: int, seed: int) -> tuple:

@@ -41,7 +41,7 @@ class EdgeRef(NamedTuple):
         src, dst, idx = data
         if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
             raise ValidationError(f"edge index must be a nonnegative int, got {idx!r}")
-        return EdgeRef(str(src), str(dst), idx)
+        return EdgeRef(_json_name(src), _json_name(dst), idx)
 
 
 #: ∞ as a multiplicity in a sparse row; finite multiplicities are plain ints.
@@ -80,6 +80,13 @@ def _vertex_names(vertices) -> tuple:
         except UnicodeEncodeError:
             raise ValidationError(f"vertex name {v!r} is not valid Unicode text") from None
     return vs
+
+
+def _json_name(x) -> str:
+    """A vertex name read from JSON, which must be a string."""
+    if not isinstance(x, str):
+        raise ValidationError(f"vertex name must be a string, got {x!r}")
+    return x
 
 
 def _with(row: dict, j: int, m) -> dict:
@@ -282,7 +289,7 @@ class Graph:
             raise ValidationError("graph JSON 'vertices' must be a list")
         if not (isinstance(adjacency, list) and all(isinstance(r, list) for r in adjacency)):
             raise ValidationError("graph JSON 'adjacency' must be a list of rows")
-        return Graph(vertices, adjacency)
+        return Graph(list(map(_json_name, vertices)), adjacency)
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_json(), separators=(",", ":"), ensure_ascii=False)``.

@@ -33,7 +33,17 @@ from typing import Optional
 
 from .errors import DomainError, InternalError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import EdgeRef, Graph, _bits, _closure_mask, _first, _mask, _reached_by, _saturate_mask
+from .graph import (
+    EdgeRef,
+    Graph,
+    _bits,
+    _closure_mask,
+    _first,
+    _json_name,
+    _mask,
+    _reached_by,
+    _saturate_mask,
+)
 from .ktheory import K0Class, k0_reduce
 from .canonical import companion, is_stably_complete
 
@@ -119,7 +129,7 @@ class CoefficientSystem:
             edges = term.get("T", [])
             if not isinstance(edges, (list, tuple)):
                 raise ValidationError(f"term 'T' must be a list of edges, got {edges!r}")
-            items.append((term["v"], [EdgeRef.from_json(e) for e in edges], term["n"]))
+            items.append((_json_name(term["v"]), [EdgeRef.from_json(e) for e in edges], term["n"]))
         return CoefficientSystem.make(items)
 
 

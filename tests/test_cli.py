@@ -239,9 +239,10 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "boom" in capsys.readouterr().err
 
 
-def _one_error_line(capsys):
+def _one_error_line(capsys, text=""):
     err = capsys.readouterr().err
-    return err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
+    one_line = err.count("\n") == 1 and err.startswith("error:") and "Traceback" not in err
+    return one_line and text in err
 
 
 def test_adjacency_not_a_matrix_is_one_error_line(tmp_path, capsys):
@@ -264,6 +265,21 @@ def test_partition_not_a_list_is_one_error_line(tmp_path, capsys):
     argv = ["move", gpath, "--op", "out-split", "--vertex", "a", "--partition", "5"]
     assert main(argv) == 1
     assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("name", ["null", "true", "1", '{"a": 1}'])
+def test_vertex_name_not_a_string_is_one_error_line(tmp_path, capsys, name):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [%s, "b"], "adjacency": [[0, 1], [0, 1]]}' % name)
+    assert main(["analyze", str(path)]) == 1
+    assert _one_error_line(capsys, "vertex name must be a string, got ")
+
+
+def test_partition_edge_name_not_a_string_is_one_error_line(tmp_path, capsys):
+    gpath = write_graph(tmp_path, Graph(["a", "b"], [[0, "inf"], [0, 1]]))
+    argv = ["move", gpath, "--op", "out-split", "--vertex", "a"]
+    assert main(argv + ["--partition", '[[[null, "b", 0]], "rest"]']) == 1
+    assert _one_error_line(capsys, "vertex name must be a string, got None")
 
 
 def test_multiplicities_not_an_object_is_one_error_line(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import pickle
 import random
@@ -32,7 +33,7 @@ from graphck import (
     replay,
     split_breaking,
 )
-from graphck.corpus import applicable_moves, random_graph, random_move
+from graphck.corpus import _random_split, applicable_moves, random_graph, random_move
 from graphck.graph import _degrees_of, _reach_of, dominates, shortest_nonzero_path
 from graphck.moves import MOVE_KINDS
 
@@ -325,6 +326,56 @@ class TestKTheoryInvariance:
             return
         out, _rec = apply_move(g, mv[0], mv[1])
         assert k_groups(out) == k_groups(g)
+
+
+#: ∞-heavy entries on up to 10 vertices, so some out-split pools exceed the
+#: 21 slots past which ``random.sample`` switches to its set-based branch.
+INF_HEAVY = (0, 1, "inf", "inf", "inf")
+
+
+def _draw_graphs(count=120):
+    """Seeded (rng, graph) pairs: half at the CLI's default size, half ∞-heavy."""
+    for s in range(count):
+        rng = random.Random(s)
+        if s % 2:
+            yield rng, random_graph(rng, max_vertices=6)
+        else:
+            yield rng, random_graph(rng, max_vertices=10, entries=INF_HEAVY)
+
+
+#: SHA-256 over the reprs of seeded draws: move sequences of up to 3 steps,
+#: move lists, out-splits of every vertex, and the generator after them.
+DRAWS_GOLDEN = "e0a75c5cf3c3cc535dc0c1b6566dd22b1c0ef70d3877c110f758a7bff64de13e"
+
+
+class TestDraws:
+    def test_draws_match_golden_hash(self):
+        digest = hashlib.sha256()
+        big_pools = 0
+        for rng, g in _draw_graphs():
+            cur = g
+            for _ in range(3):
+                mv = random_move(cur, rng)
+                digest.update(repr(mv).encode())
+                if mv is None:
+                    break
+                cur = apply_move(cur, *mv)[0]
+            digest.update(repr(applicable_moves(g, rng)).encode())
+            digest.update(repr([_random_split(g, v, rng) for v in g.vertices]).encode())
+            digest.update(repr(rng.random()).encode())
+            big_pools += sum(
+                sum(3 if m.is_infinite else int(m) for m in g.row(v)) > 21 for v in g.vertices
+            )
+        assert big_pools >= 10
+        assert digest.hexdigest() == DRAWS_GOLDEN
+
+    def test_random_move_is_a_choice_from_applicable_moves(self):
+        for s, (_, g) in enumerate(_draw_graphs()):
+            mine, theirs = random.Random(s), random.Random(s)
+            mv = random_move(g, mine)
+            moves = applicable_moves(g, theirs)
+            assert mv == (theirs.choice(moves) if moves else None)
+            assert mine.getstate() == theirs.getstate()
 
 
 class TestRecords:

@@ -498,10 +498,11 @@ class TestSequenceJson:
             (CoefficientSystem.from_json, 5, "list of terms"),
             (CoefficientSystem.from_json, [5], "term must be an object"),
             (CoefficientSystem.from_json, [{"v": "a", "n": 1, "T": 5}], "'T'"),
+            (CoefficientSystem.from_json, [{"v": None, "n": 1}], "a string, got None"),
             (ProjectionSequence.from_json, {"head": 3}, "'head'"),
             (ProjectionSequence.from_json, [], "must be an object"),
         ],
-        ids=["no-n", "no-v", "not-a-list", "term-not-object", "T-not-a-list",
+        ids=["no-n", "no-v", "not-a-list", "term-not-object", "T-not-a-list", "v-null",
              "head-not-a-list", "not-an-object"],
     )
     def test_malformed_json_names_the_field(self, load, data, field):
