@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .graph import (
-    EdgeRef,
     Graph,
     _bits,
     _cycle_mates,
@@ -32,7 +31,7 @@ from .graph import (
     shortest_nonzero_path,
     simple_cycle_count_at,
 )
-from .moves import REMAINDER, Partition, _exhaust, _finite_edges, _remove_sources, apply_move
+from .moves import _breaks, _exhaust, _remove_sources, apply_move
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ def is_stably_complete(g: Graph) -> StablyCompleteReport:
     if g._report is None:
         violations = [(2, (v,)) for v in g.vertices if _lacks_loop(g, v)]
         violations += [(3, (v,)) for v in g.vertices if _needs_second_loop(g, v)]
-        reach, inf = g._reachability().reach, g._emitting().inf
+        reach, inf = g._reachability().reach, g._emitting()
         for i, v in enumerate(g.vertices):
             if g.is_infinite_emitter(v):
                 violations.extend((4, (v, g.vertices[j])) for j in _bits(reach[i] & ~inf[i]))
@@ -125,11 +124,7 @@ def canonicalize(g: Graph) -> tuple:
     pipe = _Pipeline(g)
 
     # 1: every edge of an infinite emitter should have infinitely many parallels
-    pipe.extend(
-        _exhaust(
-            pipe.graph, "BREAKSPLIT", lambda g, v: g.is_infinite_emitter(v) and _finite_edges(g, v)
-        )
-    )
+    pipe.extend(_exhaust(pipe.graph, "BREAKSPLIT", lambda g, v: _breaks(g, g.index(v))))
 
     # 2: infinite emitters emit (infinitely) to everything they dominate
     cur = pipe.graph  # T moves keep reachability, so cur's answers hold throughout
@@ -165,8 +160,7 @@ def _companion_partition(g: Graph, v: str) -> list:
     coincides with direct emission, so picking the index-0 edge toward
     every row target captures one edge per dominated vertex.
     """
-    chosen = frozenset(EdgeRef(v, w, 0) for w in g.successors(v))
-    return Partition((frozenset(chosen), REMAINDER)).to_json()
+    return [[[v, w, 0] for w in sorted(g.successors(v))], "rest"]
 
 
 def _repair(pipe: _Pipeline, defects, closing_path) -> None:

@@ -156,7 +156,7 @@ def _entering_paths(g: Graph, H: frozenset, comp: list) -> list:
 
     def extend(prefix, at):
         for w in g.successors(at):
-            count = int(g.a(at, w))  # complement vertices are regular, entries finite
+            count = g._mult(at, w)  # complement vertices are regular, entries finite
             for i in range(count):
                 e = EdgeRef(at, w, i)
                 if w in H:

@@ -11,7 +11,7 @@ import random
 from .canonical import canonicalize, is_stably_complete
 from .graph import _INF, Graph
 from .ktheory import k_groups
-from .moves import apply_move
+from .moves import _breaks, apply_move
 
 DEFAULT_ENTRIES = (0, 0, 0, 1, 1, 2, "inf")
 
@@ -56,7 +56,7 @@ def _candidates(g: Graph, rng: random.Random) -> list:
                 out.append(("S", i))
             elif i not in row:
                 out.append(("COLLAPSE", i))
-        elif degs.out[i] == _INF and any(m != _INF for m in row.values()):
+        elif _breaks(g, i):
             out.append(("BREAKSPLIT", i))
     for i, row in enumerate(rows):
         if i in degs.receiving and degs.out[i] > 1:

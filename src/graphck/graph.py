@@ -108,9 +108,8 @@ class Graph:
 
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
     # ``_digest`` are filled on first query (by this module, ktheory and
-    # canonical), or ``_reach`` by ``moves.move_T`` from its input's; they
-    # are derived from the rows, so identity, hashing and serialization
-    # ignore them.
+    # canonical); they are derived from the rows, so identity, hashing and
+    # serialization ignore them.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",
@@ -237,7 +236,7 @@ class Graph:
             self._reach = _reach_of(self._rows)
         return self._reach
 
-    def _emitting(self) -> "_Emission":
+    def _emitting(self) -> list:
         if self._emission is None:
             self._emission = _emission_of(self._rows)
         return self._emission
@@ -371,10 +370,7 @@ def vertex_class(g: Graph, v: str) -> VertexClass:
 
 
 class _Reach(NamedTuple):
-    """Reachability of one graph as bitmasks over vertex positions.
-
-    The lists are never mutated once built, so graphs may share them.
-    """
+    """Reachability of one graph as bitmasks over vertex positions."""
 
     succ: list  # bit j of succ[i]: an edge i → j
     reach: list  # bit j of reach[i]: a path of length >= 1 from i to j
@@ -409,18 +405,13 @@ def _reach_of(rows) -> _Reach:
     return _Reach(succ, reach)
 
 
-class _Emission(NamedTuple):
-    """The ∞ entries of each row, as bitmasks over vertex positions.
+def _emission_of(rows) -> list:
+    """The ∞ entries of each row: bit j of item i is set for infinitely many edges i → j.
 
     Kept apart from :class:`_Degrees`, which rewriting builds for many
     graphs that are never asked about saturation or breaking vertices.
     """
-
-    inf: list  # bit j of inf[i]: infinitely many edges i → j
-
-
-def _emission_of(rows) -> _Emission:
-    return _Emission([sum(1 << j for j, m in row.items() if m == _INF) for row in rows])
+    return [sum(1 << j for j, m in row.items() if m == _INF) for row in rows]
 
 
 #: Words DOT reserves, in any case; as graph names they must be quoted.
@@ -508,30 +499,24 @@ def dominates(g: Graph, v: str, w: str) -> bool:
 def shortest_nonzero_path(g: Graph, v: str, w: str) -> list:
     """A shortest path of length >= 1 from ``v`` to ``w``, as a vertex list.
 
-    One breadth-first search starts from the successors of ``v`` in
-    vertex order, with ``v`` itself unvisited so that cycles back to it
-    are found.  Of the shortest paths it takes the one through the first
-    such successor, and below it the first found.  Raises
+    One breadth-first search over the rows starts from the successors of
+    ``v`` in vertex order, with ``v`` itself unvisited so that cycles back
+    to it are found.  Of the shortest paths it takes the one through the
+    first such successor, and below it the first found.  Raises
     :class:`NotFoundError` when ``v`` does not dominate ``w``.
     """
     i, j = g.index(v), g.index(w)
-    r = g._reachability()
-    if not r.reach[i] >> j & 1:
-        raise NotFoundError(f"{v!r} does not dominate {w!r}")
-    if r.succ[i] >> j & 1:
-        return [v, w]
-    seen = r.succ[i]
-    prev = dict.fromkeys(_bits(seen))
+    rows = g._rows
+    prev = dict.fromkeys(rows[i])
     queue = deque(prev)
     while j not in prev:
+        if not queue:
+            raise NotFoundError(f"{v!r} does not dominate {w!r}")
         x = queue.popleft()
-        new = r.succ[x] & ~seen
-        seen |= new
-        for y in _bits(new):
-            prev[y] = x
-            if y == j:
-                break
-            queue.append(y)
+        for y in rows[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
     path = [j]
     while prev[path[-1]] is not None:
         path.append(prev[path[-1]])

@@ -152,7 +152,7 @@ def breaking_vertices(g: Graph, H) -> frozenset:
 def _breaking_mask(g: Graph, h: int) -> int:
     """Infinite emitters with no ∞ entry outside ``h`` but some edge outside it."""
     out = 0
-    for i, (inf, succ) in enumerate(zip(g._emitting().inf, g._reachability().succ)):
+    for i, (inf, succ) in enumerate(zip(g._emitting(), g._reachability().succ)):
         if inf and not inf & ~h and succ & ~h:
             out |= 1 << i
     return out

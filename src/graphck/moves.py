@@ -25,10 +25,11 @@ Applying a move through :func:`apply_move` also yields a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import MoveError, ValidationError
-from .graph import _INF, EdgeRef, Graph, _Reach, _with, fresh_names
+from .graph import _INF, EdgeRef, Graph, _with, fresh_names
 
 
 class _Remainder:
@@ -82,26 +83,27 @@ class Partition:
         return Partition(tuple(entries))
 
 
-def _check_partition(g: Graph, u: str, p: Partition):
-    """Validate ``p`` against the out-edges of ``u``; returns per-class counts.
+def _check_partition(g: Graph, u: str, p: Partition) -> list:
+    """Validate ``p`` against the out-edges of ``u``; returns one sparse row per class.
 
-    Returns a list parallel to ``p.entries`` whose items are dicts
-    ``target -> count``, counts as stored in sparse rows.
+    Row ``k`` maps each target position to the number of edges class ``k``
+    sends there, in column order.  The remainder's row is what the other
+    classes leave of the row of ``u``.  Each class's edges are checked in
+    sorted order, so an error names the first bad one.
     """
     if g.is_sink(u):
         raise MoveError(f"cannot out-split the sink {u!r}")
     if not p.entries:
         raise MoveError("empty partition")
     seen: set = set()
-    used: dict = {w: 0 for w in g.vertices}
-    counts = []
+    rows = []
     for c in p.entries:
         if isinstance(c, _Remainder):
-            counts.append(None)  # filled in below
+            rows.append(None)  # filled in below
             continue
         if not c:
             raise MoveError("partition classes must be nonempty")
-        for e in c:
+        for e in sorted(c):
             if e.src != u:
                 raise MoveError(f"edge {e} does not leave {u!r}")
             if not g.edge_valid(e):
@@ -109,28 +111,17 @@ def _check_partition(g: Graph, u: str, p: Partition):
             if e in seen:
                 raise MoveError(f"edge {e} appears in two classes")
             seen.add(e)
-        counts.append({})
-        for e in c:
-            counts[-1][e.dst] = counts[-1].get(e.dst, 0) + 1
-        for w, k in counts[-1].items():
-            used[w] += k
-    remainder = {}
-    has_rest = False
-    for w in g.vertices:
-        m = g._mult(u, w)
-        if used[w] > m:
-            raise MoveError(f"partition uses more edges toward {w!r} than exist")
-        remainder[w] = m - used[w]
-    rest = sum(remainder.values())
-    for i, c in enumerate(p.entries):
-        if isinstance(c, _Remainder):
-            has_rest = True
-            if not rest:
-                raise MoveError("remainder class is empty")
-            counts[i] = remainder
-    if not has_rest and rest:
+        rows.append(dict(sorted(Counter(g.index(e.dst) for e in c).items())))
+    # every used edge is valid and used once, so no count exceeds its entry
+    used = Counter(g.index(e.dst) for e in seen)
+    rest = {j: m - used[j] for j, m in g._rows[g.index(u)].items() if m != used[j]}
+    if None in rows:
+        if not rest:
+            raise MoveError("remainder class is empty")
+        rows[rows.index(None)] = rest
+    elif rest:
         raise MoveError("partition does not cover all out-edges and has no remainder")
-    return counts
+    return rows
 
 
 def out_split(g: Graph, u: str, p: Partition) -> Graph:
@@ -138,15 +129,21 @@ def out_split(g: Graph, u: str, p: Partition) -> Graph:
 
     Each class becomes a new vertex emitting exactly its edges; every
     edge into ``u`` is duplicated toward each new vertex.  Edges of a
-    class that looped at ``u`` now emit one copy toward every u^j.
+    class that looped at ``u`` now emit one copy toward every u^j.  Once
+    ``p`` is checked, the output is built from the classes' sparse rows.
     """
-    counts = _check_partition(g, u, p)
-    k = len(p.entries)
+    class_rows = _check_partition(g, u, p)
+    return _split(g, g.index(u), class_rows)
+
+
+def _split(g: Graph, pos: int, class_rows: list) -> Graph:
+    """Replace the vertex at ``pos`` by one fresh vertex per class row, emitting that row."""
+    k = len(class_rows)
+    u = g.vertices[pos]
     names = fresh_names(u, k, [v for v in g.vertices if v != u])
-    pos = g.index(u)
 
     def spread(row: dict) -> dict:
-        """A row over the new vertices: column ``u`` repeats at every u^j."""
+        """A row over the new vertices: column ``pos`` repeats at every u^j."""
         out = {}
         for j, m in row.items():
             if j < pos:
@@ -158,9 +155,7 @@ def out_split(g: Graph, u: str, p: Partition) -> Graph:
         return out
 
     rows = [spread(row) for row in g._rows]
-    rows[pos : pos + 1] = [
-        spread(dict(sorted((g.index(y), m) for y, m in c.items() if m))) for c in counts
-    ]
+    rows[pos : pos + 1] = map(spread, class_rows)
     return Graph._trusted(g.vertices[:pos] + tuple(names) + g.vertices[pos + 1 :], tuple(rows))
 
 
@@ -200,8 +195,7 @@ def move_T(g: Graph, path) -> Graph:
     The first edge of the path must already have infinitely many
     parallels; the effect on the adjacency is to set the entry from the
     path's source to its range to ∞.  When that entry is ∞ already, ``g``
-    itself is returned.  The source already reaches the range along the
-    path, so reachability, when known, is carried over.
+    itself is returned; otherwise the output is built from the rows alone.
     """
     path = list(path)
     if len(path) < 2:
@@ -217,12 +211,7 @@ def move_T(g: Graph, path) -> Graph:
         return g
     rows = list(g._rows)
     rows[i] = _with(rows[i], j, _INF)
-    out = Graph._trusted(g.vertices, tuple(rows))
-    if g._reach is not None:
-        succ = g._reach.succ[:]
-        succ[i] |= 1 << j
-        out._reach = _Reach(succ, g._reach.reach)  # never mutated, so shared
-    return out
+    return Graph._trusted(g.vertices, tuple(rows))
 
 
 def column_add(g: Graph, u: str, v: str) -> Graph:
@@ -243,7 +232,7 @@ def column_add(g: Graph, u: str, v: str) -> Graph:
         raise MoveError(f"no edge from {u!r} to {v!r}")
     if g.is_source(u):
         raise MoveError(f"{u!r} is a source; the move cannot be realized")
-    if g.out_degree(u) <= 1:
+    if g._degs().out[g.index(u)] <= 1:
         raise MoveError(f"{u!r} has out-degree one; the move cannot be realized")
     rows = list(g._rows)
     iu, j = g.index(u), g.index(v)
@@ -285,18 +274,21 @@ def split_breaking(g: Graph, u: str) -> Graph:
     """
     if not g.is_infinite_emitter(u):
         raise MoveError(f"{u!r} is not an infinite emitter")
-    finite_part = _finite_edges(g, u)
-    if not finite_part:
+    i = g.index(u)
+    if not _breaks(g, i):
         return g
-    return out_split(g, u, Partition((REMAINDER, frozenset(finite_part))))
+    row = g._rows[i]
+    infinite = {j: m for j, m in row.items() if m == _INF}
+    finite = {j: m for j, m in row.items() if m != _INF}
+    return _split(g, i, [infinite, finite])
 
 
-def _finite_edges(g: Graph, u: str) -> list:
-    """The edges of ``u`` in finitely-parallel families, in positional order."""
-    vs = g.vertices
-    return [
-        EdgeRef(u, vs[j], i) for j, m in g._rows[g.index(u)].items() if m != _INF for i in range(m)
-    ]
+def _breaks(g: Graph, i: int) -> bool:
+    """Whether :func:`split_breaking` changes ``g`` at position ``i``.
+
+    It does at an infinite emitter with some finitely-parallel family.
+    """
+    return g._degs().out[i] == _INF and any(m != _INF for m in g._rows[i].values())
 
 
 # -- provenance -------------------------------------------------------------

@@ -34,6 +34,7 @@ from typing import Optional
 from .errors import DomainError, InternalError, ValidationError
 from .extnat import INF, ExtNat
 from .graph import (
+    _INF,
     EdgeRef,
     Graph,
     _bits,
@@ -155,7 +156,7 @@ class ProjectionSequence:
             self.tail.validate(g)
             for v, t, _ in self.tail.terms:
                 for e in t:
-                    if not g.a(e.src, e.dst).is_infinite:
+                    if g._mult(e.src, e.dst) != _INF:
                         raise ValidationError(
                             "tail template edges need infinitely many parallels "
                             f"to repeat, got {e} with finite multiplicity"
@@ -285,8 +286,8 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
 
     def alloc(e: EdgeRef) -> EdgeRef:
         sd = (e.src, e.dst)
-        cap = g.a(e.src, e.dst)
-        if cap.is_infinite:
+        cap = g._mult(e.src, e.dst)
+        if cap == _INF:
             if e.index % 2 == 0 and e.index not in used[sd]:
                 used[sd].add(e.index)
                 return e
@@ -298,12 +299,12 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
         if e.index not in used[sd]:
             used[sd].add(e.index)
             return e
-        for i in range(int(cap)):
+        for i in range(cap):
             if i not in used[sd]:
                 used[sd].add(i)
                 return EdgeRef(e.src, e.dst, i)
         raise DomainError(
-            f"cannot make terms disjoint: all {int(cap)} parallel edges "
+            f"cannot make terms disjoint: all {cap} parallel edges "
             f"from {e.src!r} to {e.dst!r} are in use"
         )
 
@@ -418,13 +419,13 @@ def _fresh_parallel_edge(
     Even indices at or above the tail-template window of the pair are
     skipped so later repetitions stay disjoint.
     """
-    cap = g.a(src, dst)
+    cap = g._mult(src, dst)
     tail = () if seq.tail is None else (seq.tail,)
     used = {e.index for e in avoid}.union(_indices(seq.head + tail, src, dst))
     window_floor = min(_indices(tail, src, dst), default=None)
     i = 0
     while True:
-        if cap.is_finite and i >= int(cap):
+        if i >= cap:
             raise DomainError(f"no free parallel edge from {src!r} to {dst!r}")
         blocked = i in used or (
             window_floor is not None and i >= window_floor and i % 2 == 0
@@ -599,7 +600,7 @@ def _eliminate_undominated_emitter(
     systems = seq.head + (() if seq.tail is None else (seq.tail,))
 
     def fresh(u: str, dst: str, in_template: bool) -> EdgeRef:
-        if not g.a(u, dst).is_infinite:
+        if g._mult(u, dst) != _INF:
             raise InternalError(
                 f"expected infinitely many parallels from {u!r} to {dst!r}"
             )

@@ -16,6 +16,7 @@ from sample_graphs import (
     two_loops,
 )
 
+import graphck.graph as graph_module
 from graphck import (
     Graph,
     InternalError,
@@ -205,6 +206,23 @@ def test_traces_hash_no_graph_until_read(monkeypatch):
         assert len({id(g) for g in serialized}) == len(serialized)
         serialized.clear()
         digests.clear()
+
+
+def test_pinned_inputs_build_few_reachability_closures(monkeypatch):
+    """Paths for T moves are searched on the rows, so the T outputs of stage 2
+    build no closure: the pinned slowest inputs build at most 103 in all."""
+    pinned = json.loads(WORST_INPUTS.read_text(encoding="utf-8"))["inputs"]
+    built = []
+    reach_of = graph_module._reach_of
+
+    def counted(rows):
+        built.append(rows)
+        return reach_of(rows)
+
+    monkeypatch.setattr(graph_module, "_reach_of", counted)
+    for p in pinned:
+        canonicalize(Graph.from_json(p["graph"]))
+    assert len(built) <= 103
 
 
 def test_repair_stops_at_the_fuel_bound():

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 
 from conftest import graphs
 from sample_graphs import inf_to_loop, one_loop, two_loops
@@ -34,7 +34,7 @@ from graphck import (
     split_breaking,
 )
 from graphck.corpus import _random_split, applicable_moves, random_graph, random_move
-from graphck.graph import _degrees_of, _reach_of, dominates, shortest_nonzero_path
+from graphck.graph import _degrees_of, _reach_of
 from graphck.moves import MOVE_KINDS
 
 
@@ -106,6 +106,63 @@ class TestOutSplit:
         p = Partition((frozenset({EdgeRef("a", "b", index)}), REMAINDER))
         with pytest.raises(MoveError, match="is not an edge"):
             out_split(g, "a", p)
+
+    @pytest.mark.parametrize(
+        "u, classes, message",
+        [
+            ("c", [REMAINDER], "cannot out-split the sink 'c'"),
+            ("a", [], "empty partition"),
+            ("a", [[], REMAINDER], "partition classes must be nonempty"),
+            (
+                "a",
+                [[("b", "b", 0)], REMAINDER],
+                "edge EdgeRef(src='b', dst='b', index=0) does not leave 'a'",
+            ),
+            (
+                "a",
+                [[("a", "b", 2)], REMAINDER],
+                "edge EdgeRef(src='a', dst='b', index=2) is not an edge of the graph",
+            ),
+            (
+                "a",
+                [[("a", "a", 0)], [("a", "a", 0)], REMAINDER],
+                "edge EdgeRef(src='a', dst='a', index=0) appears in two classes",
+            ),
+            (
+                "a",
+                [[("a", "a", 0)], [("a", "b", 0), ("a", "b", 1)], REMAINDER],
+                "remainder class is empty",
+            ),
+            (
+                "a",
+                [[("a", "a", 0), ("a", "b", 1)]],
+                "partition does not cover all out-edges and has no remainder",
+            ),
+        ],
+    )
+    def test_error_messages(self, u, classes, message):
+        g = make_graph(["a", "b", "c"], [[1, 2, 0], [0, 1, 0], [0, 0, 0]])
+        entries = tuple(
+            c if c is REMAINDER else frozenset(EdgeRef(*e) for e in c) for c in classes
+        )
+        with pytest.raises(MoveError) as exc:
+            out_split(g, u, Partition(entries))
+        assert str(exc.value) == message
+
+    def test_error_names_the_first_bad_edge_in_sorted_order(self):
+        class Reversed(frozenset):
+            """A frozenset that iterates its edges in reverse sorted order."""
+
+            def __iter__(self):
+                return iter(sorted(frozenset.__iter__(self), reverse=True))
+
+        g = make_graph(["a", "b"], [[1, 1], [0, 1]])
+        bad = Reversed({EdgeRef("a", "a", 5), EdgeRef("a", "b", 7)})
+        with pytest.raises(MoveError) as exc:
+            out_split(g, "a", Partition((bad, REMAINDER)))
+        assert str(exc.value) == (
+            "edge EdgeRef(src='a', dst='a', index=5) is not an edge of the graph"
+        )
 
 
 class TestCollapse:
@@ -194,24 +251,6 @@ class TestMoveT:
         g = inf_to_loop()
         with pytest.raises(MoveError):
             move_T(g, ["v", "w", "v"])
-
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(graphs(max_vertices=5, entries=(0, 0, 1, 2, "inf")))
-    @example(make_graph(["v", "w"], [["inf", "inf"], [1, 0]]))
-    def test_carried_reachability_is_the_fresh_one(self, g):
-        reach = g._reachability()
-        for v in g.vertices:
-            for w in g.successors(v):
-                if not g.a(v, w).is_infinite:
-                    continue
-                # the no-op [v, w], and every path on to a vertex w dominates
-                paths = [[v, w]] + [
-                    [v] + shortest_nonzero_path(g, w, x) for x in g.vertices if dominates(g, w, x)
-                ]
-                for path in paths:
-                    out = move_T(g, path)
-                    assert out._reach == _reach_of(out._rows)
-                    assert out._reach.reach is reach.reach
 
 
 def _holds_graph(obj, depth=2) -> bool:
