@@ -109,7 +109,9 @@ class Graph:
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
     # ``_digest`` are filled on first query (by this module, ktheory and
     # canonical); they are derived from the rows, so identity, hashing and
-    # serialization ignore them.
+    # serialization ignore them.  ``_snf`` is ktheory's one slot: the
+    # relation matrix's column count and Smith diagonal, and the dense row
+    # transform once a K₀ residue has been asked for.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",
@@ -432,10 +434,18 @@ def _bits(mask: int):
 
 
 def _mask(g: Graph, names: Iterable[str]) -> int:
-    """The bitmask of a vertex set; unknown names raise :class:`NotFoundError`."""
+    """The bitmask of a vertex set.
+
+    Unknown names raise :class:`NotFoundError` naming the least of them,
+    so the message does not depend on the order a set iterates in.
+    """
+    pos = g._pos
     m = 0
+    names = iter(names)
     for v in names:
-        m |= 1 << g.index(v)
+        if v not in pos:
+            g.index(min([v, *(w for w in names if w not in pos)], key=str))  # raises
+        m |= 1 << pos[v]
     return m
 
 

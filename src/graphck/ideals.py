@@ -225,8 +225,7 @@ def restriction_graph(g: Graph, pair: AdmissiblePair) -> Graph:
     S keep only their edges into H.
     """
     H, S = pair.h, pair.s
-    for v in H | S:
-        g.index(v)
+    _mask(g, H | S)  # every name must be a vertex
     h = _mask(g, H)
     if _closure_mask(g, h) != h or _saturate_mask(g, h) != h:
         raise DomainError("H is not saturated hereditary")

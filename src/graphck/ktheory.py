@@ -4,14 +4,24 @@ For a graph with adjacency matrix A, take the matrix whose columns are
 indexed by the regular vertices and whose column for regular v is
 (A(v,·))ᵗ − χ_v over all-vertex rows.  Its cokernel is the K₀ group of
 the associated algebra and its kernel rank the K₁ free rank.  Both are
-computed by a Smith normal form over ℤ with exact big-integer
-arithmetic, independently of the rest of the package, so the pair can
-serve as an oracle: every implemented move must leave it unchanged.
+read off a Smith normal form over ℤ with exact big-integer arithmetic,
+independently of the rest of the package, so the pair can serve as an
+oracle: every implemented move must leave it unchanged.
+
+``k_groups`` builds the matrix as sparse columns and first eliminates
+unit pivots (entries ±1, each giving an invariant factor 1), least fill
+first, so its cost follows the edges rather than n³.  Only the remainder
+goes to the dense ``smith_normal_form``.  Replaying the recorded
+elementary operations on a fresh copy of the matrix proves the reduction
+exactly, as ``_assert_snf`` proves the dense one.  ``k0_reduce`` reads
+the dense row transform U, which fixes the residues; ``k0_add`` needs
+only the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul
 
@@ -54,15 +64,8 @@ class K0Class:
 
 def reg_matrix(g: Graph) -> Matrix:
     """The relation matrix: one column per regular vertex, rows over all vertices."""
-    cols = []
-    for i, v in enumerate(g.vertices):
-        if g.is_regular(v):
-            col = [0] * g.n
-            for j, m in g._rows[i].items():
-                col[j] = m
-            col[i] -= 1
-            cols.append(col)
-    return [[col[i] for col in cols] for i in range(g.n)]
+    cols = _relation_columns(g)
+    return [[col.get(i, 0) for col in cols] for i in range(g.n)]
 
 
 def _identity(n: int) -> Matrix:
@@ -110,10 +113,13 @@ def smith_normal_form(m: Matrix) -> tuple:
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    s = [[int(x) for x in row] for row in m]
-    for row in s:
+    s = [list(row) for row in m]
+    for i, row in enumerate(s):
         if len(row) != cols:
             raise ValidationError("ragged matrix")
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ValidationError(f"matrix entry ({i}, {j}) is not an integer: {x!r}")
     u = _identity(rows)
     v = _identity(cols)
 
@@ -233,26 +239,180 @@ def _assert_snf(m, s, u, v, rank):
             raise InternalError("Smith form divisibility chain broken")
 
 
-def _snf_of(g: Graph):
-    """The relation matrix's column count, row transform and nonzero diagonal.
+def _relation_columns(g: Graph) -> list:
+    """The relation matrix as sparse columns ``{row: entry}``, one per regular vertex.
 
-    Computed on first use and kept with the graph, so it lives exactly as
-    long as the graph does; the matrix and its Smith form are not kept.
+    The column of regular position i is row i of the graph minus 1 at i.
     """
-    if g._snf is None:
-        m = reg_matrix(g)
-        s, u, _ = smith_normal_form(m)
-        diag = []
-        for i in range(min(len(s), len(s[0]) if s else 0)):
-            if s[i][i] != 0:
-                diag.append(s[i][i])
-        g._snf = (len(m[0]) if m else 0, u, diag)
+    regular = g._degs().regular
+    cols = []
+    for i, row in enumerate(g._rows):
+        if regular >> i & 1:
+            col = dict(row)
+            col[i] = col.get(i, 0) - 1
+            if not col[i]:
+                del col[i]
+            cols.append(col)
+    return cols
+
+
+def _peel(n: int, columns: list) -> tuple:
+    """Eliminate unit pivots from sparse columns over ``n`` rows.
+
+    While some entry is ±1, the one of least Markowitz cost
+    (entries in its column − 1)·(entries in its row − 1) is taken, ties
+    to the lowest (column, row); a cost is rechecked when popped and
+    pushed back if it grew.  Column operations clear the pivot's row,
+    which updates the Schur complement; row operations then clear its
+    column.  Returns ``(ops, pivots, rest)``: the operations as
+    ``(axis, a, b, f)``, meaning "line a += f · line b", in the order
+    applied; the pivots as ``(row, column, ±1)``; and the remainder as
+    ``(rows, columns, block)``, a dense block over its nonzero lines.
+    """
+    cols = [dict(col) for col in columns]
+    hits = [set() for _ in range(n)]  # hits[r]: the live columns with an entry in row r
+    for c, col in enumerate(cols):
+        for r in col:
+            hits[r].add(c)
+    heap = [
+        ((len(col) - 1) * (len(hits[r]) - 1), c, r)
+        for c, col in enumerate(cols)
+        for r, x in col.items()
+        if x == 1 or x == -1
+    ]
+    heapify(heap)
+    ops, pivots = [], []
+    while heap:
+        cost, c, r = heappop(heap)
+        col = cols[c]
+        if col is None or col.get(r) not in (1, -1):
+            continue
+        now = (len(col) - 1) * (len(hits[r]) - 1)
+        if now > cost:
+            heappush(heap, (now, c, r))
+            continue
+        p = col[r]
+        for c2 in [x for x in hits[r] if x != c]:
+            col2 = cols[c2]
+            f = -p * col2[r]
+            ops.append(("col", c2, c, f))
+            for r2, x in col.items():
+                y = col2.get(r2, 0) + f * x
+                if not y:
+                    del col2[r2]
+                    hits[r2].discard(c2)
+                    continue
+                if r2 not in col2:
+                    hits[r2].add(c2)
+                col2[r2] = y
+                if y == 1 or y == -1:
+                    heappush(heap, ((len(col2) - 1) * (len(hits[r2]) - 1), c2, r2))
+        for r2, x in col.items():
+            if r2 != r:
+                ops.append(("row", r2, r, -p * x))
+                hits[r2].discard(c)
+        hits[r].clear()
+        cols[c] = None
+        pivots.append((r, c, p))
+    live = [c for c, col in enumerate(cols) if col]
+    rows = sorted({r for c in live for r in cols[c]})
+    return ops, pivots, (rows, live, [[cols[c].get(r, 0) for c in live] for r in rows])
+
+
+def _assert_peeled(n: int, columns: list, ops: list, pivots: list, rest: tuple) -> None:
+    """Prove exactly that the recorded operations take M to the pivots plus the remainder.
+
+    ``columns`` are M's sparse columns over ``n`` rows and the rest are
+    :func:`_peel`'s results.  Each operation must be elementary: two
+    different lines of one axis and an integer factor, so of determinant
+    1.  Replayed in order on a fresh copy of M they give U·M·V with U and
+    V unimodular, which must be exactly the ±1 pivots and the remainder
+    block, each on rows and columns of its own.  The Smith form of M is
+    then one 1 per pivot followed by the block's.
+    """
+    by_col = [dict(col) for col in columns]
+    by_row = [{} for _ in range(n)]
+    for c, col in enumerate(by_col):
+        for r, x in col.items():
+            by_row[r][c] = x
+    axes = {"row": (by_row, by_col), "col": (by_col, by_row)}
+    for op in ops:
+        axis, a, b, f = op
+        lines, cross = axes.get(axis, ((), ()))
+        if not (type(a) is type(b) is type(f) is int and a != b
+                and 0 <= a < len(lines) and 0 <= b < len(lines)):
+            raise InternalError(f"recorded operation {op} is not elementary")
+        dst = lines[a]
+        for k, x in lines[b].items():
+            y = dst.get(k, 0) + f * x
+            if y:
+                dst[k] = cross[k][a] = y
+            elif k in dst:
+                del dst[k], cross[k][a]
+    rows, cols, block = rest
+    if len(block) != len(rows) or any(len(line) != len(cols) for line in block):
+        raise InternalError("remainder block does not match its lines")
+    if any(x != 1 and x != -1 for _, _, x in pivots):
+        raise InternalError("a recorded pivot is not a unit")
+    used_rows = [r for r, _, _ in pivots] + rows
+    used_cols = [c for _, c, _ in pivots] + cols
+    if len(set(used_rows)) != len(used_rows) or len(set(used_cols)) != len(used_cols):
+        raise InternalError("pivots and remainder share a line")
+    if any(not 0 <= c < len(by_col) for c in used_cols):
+        raise InternalError("a pivot or remainder column is out of range")
+    want = [{} for _ in by_col]
+    for r, c, x in pivots:
+        want[c][r] = x
+    for r, line in zip(rows, block):
+        for c, x in zip(cols, line):
+            if x:
+                want[c][r] = x
+    if want != by_col:
+        raise InternalError("recorded operations do not reach the pivots and remainder")
+
+
+def _peeled_diag(n: int, columns: list) -> list:
+    """The nonzero Smith diagonal of sparse columns over ``n`` rows.
+
+    One 1 per unit pivot peeled, then the dense remainder's diagonal.
+    """
+    ops, pivots, rest = _peel(n, columns)
+    _assert_peeled(n, columns, ops, pivots, rest)
+    block = rest[2]
+    return [1] * len(pivots) + (_diagonal(smith_normal_form(block)[0]) if block else [])
+
+
+def _diagonal(s: Matrix) -> list:
+    """The nonzero diagonal entries of a Smith form."""
+    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i]]
+
+
+def _snf_of(g: Graph, transform: bool = False) -> tuple:
+    """The relation matrix's column count, nonzero Smith diagonal and row transform.
+
+    Kept in the graph's one K-theory slot, so each is computed once and
+    lives exactly as long as the graph.  The diagonal comes from
+    :func:`_peeled_diag`; the transform U is ``None`` until asked for,
+    and then comes, with the same diagonal, from the dense
+    ``smith_normal_form``, whose U defines the K₀ residues.
+    """
+    if g._snf is None or transform and g._snf[2] is None:
+        if transform:
+            s, u, _ = smith_normal_form(reg_matrix(g))
+            diag = _diagonal(s)
+        else:
+            u, diag = None, _peeled_diag(g.n, _relation_columns(g))
+        g._snf = (g._degs().regular.bit_count(), diag, u)
     return g._snf
 
 
 def k_groups(g: Graph) -> KTheoryPair:
-    """K₀ as cokernel data and the K₁ free rank, via Smith normal form."""
-    cols, _, diag = _snf_of(g)
+    """K₀ as cokernel data and the K₁ free rank, via Smith normal form.
+
+    Computed once per graph, by peeling unit pivots from the sparse
+    relation matrix and reducing only the remainder densely.
+    """
+    cols, diag, _ = _snf_of(g)
     rank = len(diag)
     return KTheoryPair(
         k0_invariant_factors=tuple(d for d in diag if d > 1),
@@ -261,12 +421,19 @@ def k_groups(g: Graph) -> KTheoryPair:
     )
 
 
+def _integers(vec, what: str) -> None:
+    for i, x in enumerate(vec):
+        if type(x) is not int:
+            raise ValidationError(f"{what} entry {i} is not an integer: {x!r}")
+
+
 def k0_reduce(g: Graph, vector) -> K0Class:
     """Canonical residue of an integer vertex-vector modulo the column lattice."""
     vec = list(vector)
     if len(vec) != g.n:
         raise ValidationError(f"vector length {len(vec)} for {g.n} vertices")
-    _, u, diag = _snf_of(g)
+    _integers(vec, "vector")
+    _, diag, u = _snf_of(g, transform=True)
     y = [sum(u[i][j] * vec[j] for j in range(g.n)) for i in range(g.n)]
     return K0Class(tuple(_mod_residues(y, diag)))
 
@@ -282,6 +449,8 @@ def k0_add(g: Graph, a: K0Class, b: K0Class) -> K0Class:
     """Group addition of canonical residues (componentwise, re-reduced)."""
     if len(a.residues) != g.n or len(b.residues) != g.n:
         raise ValidationError("class residues do not match the graph")
-    _, _, diag = _snf_of(g)
+    _integers(a.residues, "class residue")
+    _integers(b.residues, "class residue")
+    _, diag, _ = _snf_of(g)
     total = [x + y for x, y in zip(a.residues, b.residues)]
     return K0Class(tuple(_mod_residues(total, diag)))

@@ -149,6 +149,20 @@ def test_ktheory(tmp_path, capsys):
     assert data == {"k0_invariant_factors": [], "k0_free_rank": 0, "k1_free_rank": 0}
 
 
+def test_ktheory_of_a_large_realized_corner_is_the_base_pair(tmp_path, capsys):
+    # heads of 500 on both vertices: 1,002 vertices, out of reach of a dense n³ Smith form
+    base = write_graph(tmp_path, Graph(["a", "b"], [[2, 1], [1, 2]]))
+    real = tmp_path / "real.json"
+    mult = '{"a": 501, "b": 501}'
+    assert main(["corner", base, "--multiplicities", mult, "--realize", "--out", str(real)]) == 0
+    assert len(json.loads(real.read_text())["vertices"]) == 1002
+    assert main(["ktheory", base]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert main(["ktheory", str(real)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+    assert want == {"k0_invariant_factors": [], "k0_free_rank": 1, "k1_free_rank": 1}
+
+
 def test_export_dot(tmp_path, capsys):
     code = main(["export-dot", write_graph(tmp_path, inf_to_loop())])
     assert code == 0

@@ -19,6 +19,7 @@ from graphck import (
     Graph,
     NotFoundError,
     ValidationError,
+    breaking_vertices,
     canonicalize,
     condition_K,
     dominates,
@@ -31,12 +32,14 @@ from graphck import (
     make_graph,
     normalize_multiplicities,
     reaches,
+    restriction_graph,
     saturate,
     simple_cycle_count_at,
     vertex_class,
 )
 from graphck.canonical import companion
 from graphck.graph import _cycle_mates, _names, _reached_by, shortest_nonzero_path
+from graphck.ideals import AdmissiblePair
 from graphck.projcalc import _dominator
 
 
@@ -161,6 +164,29 @@ class TestUnknownNames:
                 fn(g, {"b", "zz"})
             with pytest.raises(NotFoundError):
                 fn(g, {"zz"})
+
+    def test_the_least_unknown_name_is_named(self):
+        class Reversed(frozenset):
+            """A frozenset that iterates its names in reverse sorted order."""
+
+            def __iter__(self):
+                return iter(sorted(frozenset.__iter__(self), reverse=True))
+
+        g = one_loop()
+        unknown = Reversed({"x", "y", "z", "a"})
+        calls = [lambda fn=fn: fn(g, unknown) for fn in (
+            hereditary_closure, is_hereditary, saturate, is_saturated, breaking_vertices)]
+        calls.append(lambda: restriction_graph(g, AdmissiblePair(unknown, frozenset())))
+        calls.append(lambda: restriction_graph(g, AdmissiblePair(frozenset(), unknown)))
+        for call in calls:
+            with pytest.raises(NotFoundError, match="^no vertex named 'x'$"):
+                call()
+
+    def test_a_generator_is_read_once(self):
+        g = one_loop()
+        with pytest.raises(NotFoundError, match="'b'"):
+            hereditary_closure(g, iter(["c", "a", "b"]))
+        assert hereditary_closure(g, (v for v in ["a"])) == {"a"}
 
 
 class TestSaturate:

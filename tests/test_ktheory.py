@@ -6,16 +6,69 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import graphs
-from sample_graphs import edge_to_sink, inf_dag, looped_pair, one_loop, two_loops
+from sample_graphs import edge_to_sink, inf_dag, inf_to_loop, looped_pair, one_loop, two_loops
 
-from graphck import InternalError, k0_reduce, k_groups, reg_matrix, smith_normal_form
-from graphck.ktheory import _assert_snf, _mat_mul, det_int, k0_add
+from graphck import (
+    Graph,
+    InternalError,
+    ValidationError,
+    corner_graph,
+    k0_reduce,
+    k_groups,
+    make_graph,
+    random_graph,
+    realize,
+    reg_matrix,
+    smith_normal_form,
+)
+from graphck.corpus import DEFAULT_ENTRIES
+from graphck.ktheory import (
+    K0Class,
+    _assert_peeled,
+    _assert_snf,
+    _mat_mul,
+    _peel,
+    _peeled_diag,
+    _relation_columns,
+    _snf_of,
+    det_int,
+    k0_add,
+)
 
 matrices = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
     min_size=1,
     max_size=4,
 ).filter(lambda m: len({len(r) for r in m}) == 1)
+
+#: Small matrices rich in unit entries, so most get pivots peeled.
+unit_rich = st.integers(min_value=1, max_value=5).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.sampled_from([-2, -1, -1, 0, 0, 1, 1, 2, 3, 6]), min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+def _columns(m):
+    """A dense matrix as the sparse columns the peeled path reads."""
+    return [{r: row[c] for r, row in enumerate(m) if row[c]} for c in range(len(m[0]))]
+
+
+def _dense_k_groups(g):
+    """``k_groups`` read from the dense ``smith_normal_form``, on a fresh copy of ``g``."""
+    h = Graph._trusted(g.vertices, g._rows)
+    _snf_of(h, transform=True)
+    return k_groups(h)
+
+
+def _peeled_k_groups(g):
+    """``k_groups`` on a fresh copy of ``g``, checked to come from the peeled path."""
+    h = Graph._trusted(g.vertices, g._rows)
+    pair = k_groups(h)
+    assert h._snf[2] is None
+    return pair
 
 
 class TestRegMatrix:
@@ -52,6 +105,20 @@ class TestSmithNormalForm:
         s, _, _ = smith_normal_form(m)
         diag = [s[i][i] for i in range(min(len(m), len(m[0]))) if s[i][i] != 0]
         assert diag == oracles.oracle_invariant_factors(m)
+
+    @pytest.mark.parametrize(
+        "m, where",
+        [
+            ([[1.5]], r"\(0, 0\)"),
+            ([["x"]], r"\(0, 0\)"),
+            ([[True]], r"\(0, 0\)"),
+            ([[1, 2], [3, 2.0]], r"\(1, 1\)"),
+            ([[1, None], [3, "4"]], r"\(0, 1\)"),
+        ],
+    )
+    def test_entries_must_be_ints(self, m, where):
+        with pytest.raises(ValidationError, match=f"entry {where} is not an integer"):
+            smith_normal_form(m)
 
     @settings(max_examples=60)
     @given(matrices)
@@ -112,10 +179,77 @@ class TestK0Reduce:
         assert lhs == rhs
 
     def test_length_mismatch(self):
-        from graphck import ValidationError
-
         with pytest.raises(ValidationError):
             k0_reduce(two_loops(), [1, 2])
+
+    @pytest.mark.parametrize("bad", [[1.5, 0], ["1", 0], [0, True], [0, None]])
+    def test_entries_must_be_ints(self, bad):
+        g = make_graph(["a", "b"], [[2, 1], [1, 2]])
+        with pytest.raises(ValidationError, match="vector entry [01] is not an integer"):
+            k0_reduce(g, bad)
+        good = k0_reduce(g, [1, 0])
+        for cls in (K0Class(tuple(bad)), K0Class((0.5, -1.5))):
+            with pytest.raises(ValidationError, match="residue entry [01] is not an integer"):
+                k0_add(g, good, cls)
+            with pytest.raises(ValidationError, match="residue entry [01] is not an integer"):
+                k0_add(g, cls, good)
+
+
+class TestPeeledPath:
+    def test_equals_dense_on_random_graphs(self):
+        rng = random.Random(20261019)
+        pools = [DEFAULT_ENTRIES, (0, 1, "inf", "inf"), (0, 0, 1, 1, 2, 3, 5), (0, 1, 1, 1, 2)]
+        drawn = [Graph([], []), inf_dag(), edge_to_sink()]
+        for _ in range(600):
+            entries = rng.choice(pools)
+            drawn.append(random_graph(random.Random(rng.getrandbits(64)), 8, entries))
+        seen = {"inf": 0, "sink": 0, "no regular": 0, "torsion": 0, "remainder": 0}
+        for g in drawn:
+            assert _peeled_k_groups(g) == _dense_k_groups(g), g.to_json()
+            seen["inf"] += any(m == float("inf") for row in g._rows for m in row.values())
+            seen["sink"] += any(not row for row in g._rows)
+            seen["no regular"] += not g._degs().regular
+            seen["torsion"] += bool(k_groups(g).k0_invariant_factors)
+            seen["remainder"] += bool(_peel(g.n, _relation_columns(g))[2][0])
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize(
+        "base, heads",
+        [
+            ([[2, 1], [1, 2]], [5, 5]),
+            ([[2, 1], [1, 2]], [74, 74]),
+            ([[3, 1, 0], [0, 2, 1], [1, 0, 4]], [10, 30, 8]),
+            ([[1, 1, 0], [0, 2, "inf"], [1, 0, 3]], [20, 15, 30]),
+        ],
+    )
+    def test_equals_dense_on_realized_corners(self, base, heads):
+        names = [f"v{i}" for i in range(len(base))]
+        g = realize(corner_graph(make_graph(names, base), dict(zip(names, [h + 1 for h in heads]))))
+        assert g.n == len(base) + sum(heads) <= 150
+        assert _peeled_k_groups(g) == _dense_k_groups(g)
+
+    @pytest.mark.parametrize("graph", [two_loops, looped_pair, inf_to_loop, edge_to_sink])
+    def test_residues_still_come_from_the_dense_transform(self, graph):
+        g = graph()
+        k_groups(g)
+        assert g._snf[2] is None
+        vec = list(range(1, g.n + 1))
+        assert k0_reduce(g, vec) == k0_reduce(Graph._trusted(g.vertices, g._rows), vec)
+        assert g._snf[2] == smith_normal_form(reg_matrix(g))[1]
+
+    @settings(max_examples=100)
+    @given(st.one_of(matrices, unit_rich))
+    def test_matches_minor_gcd_oracle(self, m):
+        assert _peeled_diag(len(m), _columns(m)) == oracles.oracle_invariant_factors(m)
+
+    def test_operations_grow_with_the_edges(self):
+        base = make_graph(["a", "b"], [[2, 1], [1, 2]])
+        g = realize(corner_graph(base, {"a": 1001, "b": 1001}))
+        ops, pivots, rest = _peel(g.n, _relation_columns(g))
+        edges = sum(len(row) for row in g._rows)
+        assert g.n == 2002 and edges == 2004
+        assert len(ops) <= 2 * edges
+        assert len(pivots) == 2001 and rest == ([], [], [])
 
 
 def _naive_product(a, b):
@@ -205,6 +339,66 @@ class TestSelfCheckHelpers:
                     bad[part][i][j] += delta
                     with pytest.raises(InternalError):
                         _assert_snf(m, bad["s"], bad["u"], bad["v"], rank)
+
+    #: Peeled in two pivots, with row and column operations and a 3 × 2
+    #: remainder holding a zero.
+    PEELED = [[2, 6, -1, 0], [2, 0, 0, 0], [6, 0, -1, 4], [2, 2, 1, 0], [3, 3, 3, 1]]
+
+    def _peeled(self):
+        cols = _columns(self.PEELED)
+        ops, pivots, rest = _peel(len(self.PEELED), cols)
+        assert len(pivots) == 2 and {op[0] for op in ops} == {"row", "col"}
+        assert 0 in sum(rest[2], [])
+        _assert_peeled(len(self.PEELED), cols, ops, pivots, rest)
+        return cols, ops, pivots, rest
+
+    def test_assert_peeled_rejects_a_changed_coefficient(self):
+        cols, ops, pivots, rest = self._peeled()
+        for k, (axis, a, b, f) in enumerate(ops):
+            for delta in (1, -1):
+                bad = ops[:k] + [(axis, a, b, f + delta)] + ops[k + 1:]
+                with pytest.raises(InternalError, match="do not reach"):
+                    _assert_peeled(5, cols, bad, pivots, rest)
+
+    def test_assert_peeled_rejects_a_changed_pivot(self):
+        cols, ops, pivots, rest = self._peeled()
+        for k, (r, c, x) in enumerate(pivots):
+            for delta in (1, -1):
+                bad = pivots[:k] + [(r, c, x + delta)] + pivots[k + 1:]
+                with pytest.raises(InternalError, match="not a unit"):
+                    _assert_peeled(5, cols, ops, bad, rest)
+            bad = pivots[:k] + [(r, c, -x)] + pivots[k + 1:]
+            with pytest.raises(InternalError, match="do not reach"):
+                _assert_peeled(5, cols, ops, bad, rest)
+
+    def test_assert_peeled_rejects_a_changed_remainder_entry(self):
+        cols, ops, pivots, (rows, live, block) = self._peeled()
+        for i, line in enumerate(block):
+            for j in range(len(line)):
+                for delta in (1, -1):
+                    bad = [row[:] for row in block]
+                    bad[i][j] += delta
+                    with pytest.raises(InternalError, match="do not reach"):
+                        _assert_peeled(5, cols, ops, pivots, (rows, live, bad))
+
+    def test_assert_peeled_rejects_operations_that_are_not_elementary(self):
+        cols, ops, pivots, rest = self._peeled()
+        axis, a, b, f = ops[0]
+        for bad in [(axis, a, a, f), (axis, b, b, f), (axis, a, b, 0.5), (axis, a, b, True),
+                    ("diag", a, b, f), (axis, a, 99, f), (axis, -1, b, f)]:
+            with pytest.raises(InternalError, match="not elementary"):
+                _assert_peeled(5, cols, [bad] + ops[1:], pivots, rest)
+
+    def test_assert_peeled_rejects_shared_lines(self):
+        cols, ops, pivots, (rows, live, block) = self._peeled()
+        (r, c, x), second = pivots
+        for bad in ([(r, c, x), (r, second[1], second[2])], [(r, c, x), (second[0], c, second[2])]):
+            with pytest.raises(InternalError, match="share a line"):
+                _assert_peeled(5, cols, ops, bad, (rows, live, block))
+        with pytest.raises(InternalError, match="share a line"):
+            _assert_peeled(5, cols, ops, pivots, ([r] + rows[1:], live, block))
+        with pytest.raises(InternalError, match="does not match"):
+            _assert_peeled(5, cols, ops, pivots, (rows, live, block[1:]))
 
     def test_assert_snf_rejects_unimodularity_and_chain_breaks(self):
         # S = U·M·V holds, but U or V has determinant 2
