@@ -90,10 +90,18 @@ def _json_name(x) -> str:
 
 
 def _with(row: dict, j: int, m) -> dict:
-    """A copy of a sparse row with column ``j`` set to ``m``, in column order."""
+    """A copy of a sparse row with column ``j`` set to ``m``, in column order.
+
+    Only a new column is sorted in; setting or deleting one keeps the order.
+    """
+    if j not in row:
+        return dict(sorted({**row, j: m}.items())) if m else dict(row)
     out = dict(row)
-    out[j] = m
-    return {k: x for k, x in sorted(out.items()) if x}
+    if m:
+        out[j] = m
+    else:
+        del out[j]
+    return out
 
 
 class Graph:
@@ -109,9 +117,12 @@ class Graph:
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
     # ``_digest`` are filled on first query (by this module, ktheory and
     # canonical); they are derived from the rows, so identity, hashing and
-    # serialization ignore them.  ``_snf`` is ktheory's one slot: the
-    # relation matrix's column count and Smith diagonal, and the dense row
-    # transform once a K₀ residue has been asked for.
+    # serialization ignore them.  The one derived structure a move carries
+    # is ``_reach``, through ``column_add`` when the move cannot change it.
+    # ``_snf`` is ktheory's one slot: the relation matrix's column count and
+    # Smith diagonal, and the dense row transform once a K₀ residue has been
+    # asked for.  ``_pos``, the name index, is never written after it is
+    # built, so moves that keep the vertex tuple share their input's.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",
@@ -136,17 +147,24 @@ class Graph:
         self._fill(vs, tuple(rows))
 
     @classmethod
-    def _trusted(cls, vertices: tuple, rows: tuple) -> "Graph":
-        """Build from distinct names and valid sparse rows, without checking them."""
+    def _trusted(
+        cls, vertices: tuple, rows: tuple, pos: dict = None, reach: "_Reach" = None
+    ) -> "Graph":
+        """Build from distinct names and valid sparse rows, without checking them.
+
+        ``pos`` is the name index of ``vertices`` and ``reach`` the rows'
+        :class:`_Reach`, when the caller already has them.
+        """
         g = object.__new__(cls)
-        g._fill(vertices, rows)
+        g._fill(vertices, rows, pos, reach)
         return g
 
-    def _fill(self, vertices: tuple, rows: tuple) -> None:
+    def _fill(self, vertices: tuple, rows: tuple, pos: dict = None, reach: "_Reach" = None) -> None:
         self.vertices = vertices
         self._rows = rows
-        self._pos = {v: i for i, v in enumerate(vertices)}
-        self._reach = self._emission = self._degrees = None
+        self._pos = {v: i for i, v in enumerate(vertices)} if pos is None else pos
+        self._reach = reach
+        self._emission = self._degrees = None
         self._snf = self._report = self._digest = None
 
     # -- basic access --------------------------------------------------

@@ -104,6 +104,22 @@ def det_int(m: Matrix) -> int:
     return sign * a[-1][-1]
 
 
+def _rows_of(m) -> list:
+    """``m`` as a list of row lists; ValidationError naming the part that is no sequence."""
+    try:
+        m = list(m)
+    except TypeError:
+        raise ValidationError(f"matrix must be a list of rows, got {type(m).__name__}") from None
+    for i, row in enumerate(m):
+        try:
+            m[i] = list(row)
+        except TypeError:
+            raise ValidationError(
+                f"matrix row {i} must be a list of integers, got {type(row).__name__}"
+            ) from None
+    return m
+
+
 def smith_normal_form(m: Matrix) -> tuple:
     """Diagonalize an integer matrix: returns (S, U, V) with S = U·M·V.
 
@@ -111,9 +127,9 @@ def smith_normal_form(m: Matrix) -> tuple:
     divisibility order d₁ | d₂ | ...  The factorization identities are
     asserted on every call.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    s = [list(row) for row in m]
+    s = _rows_of(m)
+    rows = len(s)
+    cols = len(s[0]) if rows else 0
     for i, row in enumerate(s):
         if len(row) != cols:
             raise ValidationError("ragged matrix")
@@ -429,7 +445,12 @@ def _integers(vec, what: str) -> None:
 
 def k0_reduce(g: Graph, vector) -> K0Class:
     """Canonical residue of an integer vertex-vector modulo the column lattice."""
-    vec = list(vector)
+    try:
+        vec = list(vector)
+    except TypeError:
+        raise ValidationError(
+            f"vector must be a list of integers, got {type(vector).__name__}"
+        ) from None
     if len(vec) != g.n:
         raise ValidationError(f"vector length {len(vec)} for {g.n} vertices")
     _integers(vec, "vector")

@@ -211,7 +211,7 @@ def move_T(g: Graph, path) -> Graph:
         return g
     rows = list(g._rows)
     rows[i] = _with(rows[i], j, _INF)
-    return Graph._trusted(g.vertices, tuple(rows))
+    return Graph._trusted(g.vertices, tuple(rows), g._pos)
 
 
 def column_add(g: Graph, u: str, v: str) -> Graph:
@@ -225,23 +225,38 @@ def column_add(g: Graph, u: str, v: str) -> Graph:
     vertex, which needs a nonempty remainder class and an incoming edge.
     Without those, the operation can change the K-theory pair (it may
     silently delete a regular vertex's last edge).
+
+    The output shares the input's name index.  It keeps the input's
+    reachability, if the input has built it, unless the entry u → v
+    drops to 0.
     """
     if u == v:
         raise MoveError("column operation needs distinct vertices")
-    if not g._mult(u, v):
-        raise MoveError(f"no edge from {u!r} to {v!r}")
-    if g.is_source(u):
-        raise MoveError(f"{u!r} is a source; the move cannot be realized")
-    if g._degs().out[g.index(u)] <= 1:
-        raise MoveError(f"{u!r} has out-degree one; the move cannot be realized")
-    rows = list(g._rows)
     iu, j = g.index(u), g.index(v)
-    for i, row in enumerate(g._rows):
+    old_rows = g._rows
+    if j not in old_rows[iu]:
+        raise MoveError(f"no edge from {u!r} to {v!r}")
+    if not any(iu in row for row in old_rows):
+        raise MoveError(f"{u!r} is a source; the move cannot be realized")
+    if sum(old_rows[iu].values()) <= 1:
+        raise MoveError(f"{u!r} has out-degree one; the move cannot be realized")
+    rows = list(old_rows)
+    for i, row in enumerate(old_rows):
         old = row.get(j, 0)
         new = old + row.get(iu, 0) - (i == iu)
         if new != old:
             rows[i] = _with(row, j, new)
-    return Graph._trusted(g.vertices, tuple(rows))
+    r = g._reach
+    if r is not None and j in rows[iu]:
+        # Only column v grows, and only entry (u, v) can shrink.  While u → v
+        # survives, each new edge x → v has the old path x → u → v, so paths
+        # reach what they reached before: ``reach`` stands, and ``succ`` gains
+        # bit v in every row with an edge into u.
+        bit = 1 << j
+        r = r._replace(succ=[s | bit if s >> iu & 1 else s for s in r.succ])
+    else:
+        r = None
+    return Graph._trusted(g.vertices, tuple(rows), g._pos, r)
 
 
 def column_ops_along_path(g: Graph, path) -> Graph:

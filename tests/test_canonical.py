@@ -166,6 +166,26 @@ def test_canonical_outputs_match_golden_hash():
     assert digest.hexdigest() == CANONICAL_GOLDEN
 
 
+#: SHA-256 over (canonical graph, trace) of draws 0-2 of 16 and of 24 vertices
+#: (entries from [0, 0, 0, 1, 2, "inf"], seed 1000·n + s), whose repair
+#: chains run 10-79 column adds each.
+LARGE_CANONICAL_GOLDEN = "da8635c37caff86f06a7d57acf972d81145d3ff93ee3abf8705f24000ab6a419"
+
+
+def test_large_canonical_outputs_match_golden_hash():
+    entries = [0, 0, 0, 1, 2, "inf"]
+    digest = hashlib.sha256()
+    for n in (16, 24):
+        names = [f"v{i}" for i in range(n)]
+        for s in range(3):
+            rng = random.Random(1000 * n + s)
+            g = make_graph(names, [[rng.choice(entries) for _ in names] for _ in names])
+            out, trace = canonicalize(g)
+            data = [out.to_json(), [r.to_json() for r in trace]]
+            digest.update(json.dumps(data, ensure_ascii=False).encode())
+    assert digest.hexdigest() == LARGE_CANONICAL_GOLDEN
+
+
 def test_golden_trace_records_round_trip_through_json():
     for s in range(400):
         _, trace = canonicalize(random_graph(random.Random(s), max_vertices=6))

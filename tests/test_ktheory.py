@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,19 @@ class TestSmithNormalForm:
         with pytest.raises(ValidationError, match=f"entry {where} is not an integer"):
             smith_normal_form(m)
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([1, 2], "matrix row 0 must be a list of integers, got int"),
+            ([[1], None], "matrix row 1 must be a list of integers, got NoneType"),
+            (None, "matrix must be a list of rows, got NoneType"),
+            (5, "matrix must be a list of rows, got int"),
+        ],
+    )
+    def test_shape_must_be_rows(self, m, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            smith_normal_form(m)
+
     @settings(max_examples=60)
     @given(matrices)
     def test_factorization_checked_in_call(self, m):
@@ -181,6 +195,12 @@ class TestK0Reduce:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             k0_reduce(two_loops(), [1, 2])
+
+    @pytest.mark.parametrize("bad, name", [(5, "int"), (None, "NoneType")])
+    def test_vector_must_be_a_sequence(self, bad, name):
+        message = f"^vector must be a list of integers, got {name}$"
+        with pytest.raises(ValidationError, match=message):
+            k0_reduce(two_loops(), bad)
 
     @pytest.mark.parametrize("bad", [[1.5, 0], ["1", 0], [0, True], [0, None]])
     def test_entries_must_be_ints(self, bad):

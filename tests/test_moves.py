@@ -17,6 +17,7 @@ from graphck import (
     Graph,
     MoveError,
     MoveRecord,
+    NotFoundError,
     Partition,
     REMAINDER,
     ValidationError,
@@ -24,6 +25,7 @@ from graphck import (
     collapse,
     column_add,
     column_ops_along_path,
+    dominates,
     is_isomorphic,
     k_groups,
     make_graph,
@@ -34,7 +36,7 @@ from graphck import (
     split_breaking,
 )
 from graphck.corpus import _random_split, applicable_moves, random_graph, random_move
-from graphck.graph import _degrees_of, _reach_of
+from graphck.graph import _INF, _degrees_of, _reach_of, _with
 from graphck.moves import MOVE_KINDS
 
 
@@ -283,6 +285,113 @@ class TestCarriedStructure:
                     assert x._reach is None or x._reach == _reach_of(x._rows)
                 applied += 1 + len(nexts)
         assert applied >= 10
+
+    def test_column_add_keeps_reach_while_u_to_v_survives(self):
+        kept = vanished = 0
+        for s in range(300):
+            rng = random.Random(s)
+            g = random_graph(rng, max_vertices=6)
+            g._reachability()
+            for kind, params in applicable_moves(g, rng):
+                if kind != "COLADD":
+                    continue
+                out = apply_move(g, kind, params)[0]
+                if out._mult(params["source"], params["target"]):
+                    assert out._reach is not None and out._reach == _reach_of(out._rows)
+                    assert out._reach.reach == g._reach.reach
+                    kept += 1
+                else:
+                    assert out._reach is None or out._reach == _reach_of(out._rows)
+                    vanished += 1
+        assert kept >= 50 and vanished >= 5
+
+    def test_column_add_carries_no_reach_when_u_to_v_vanishes(self):
+        # u is loopless with one edge to v, so the add takes away u's only path to v
+        g = make_graph(["u", "v", "w"], [[0, 1, 1], [1, 0, 0], [0, 0, 1]])
+        assert dominates(g, "u", "v")
+        out = column_add(g, "u", "v")
+        assert out._mult("u", "v") == 0
+        assert out._reach is None
+        assert not dominates(out, "u", "v")
+
+    @pytest.mark.parametrize("kind", MOVE_KINDS)
+    def test_only_moves_that_keep_the_vertices_share_the_index(self, kind):
+        shares = kind in ("T", "COLADD")
+        applied = 0
+        for s in range(300):
+            rng = random.Random(s)
+            g = random_graph(rng, max_vertices=5)
+            for mv_kind, params in applicable_moves(g, rng):
+                if mv_kind != kind:
+                    continue
+                out = apply_move(g, kind, params)[0]
+                assert (out._pos is g._pos) == shares
+                assert out._pos == {v: i for i, v in enumerate(out.vertices)}
+                applied += 1
+        assert applied >= 10
+
+    def test_shared_index_rejects_unknown_names(self):
+        g = make_graph(["u", "v"], [[1, 2], [1, 0]])
+        out = column_add(g, "u", "v")
+        assert out._pos is g._pos
+        with pytest.raises(NotFoundError, match="no vertex named 'x'"):
+            out.index("x")
+        assert not out.has_vertex("x")
+        with pytest.raises(NotFoundError):
+            column_add(out, "x", "u")
+
+
+def _assert_rows_in_order(g):
+    for row in g._rows:
+        assert list(row) == sorted(row) and all(row.values())
+    assert g.canonical_json() == json.dumps(g.to_json(), separators=(",", ":"), ensure_ascii=False)
+
+
+class TestRowOrder:
+    """Every move's output keeps each sparse row in column order, without zeros."""
+
+    @pytest.mark.parametrize("kind", MOVE_KINDS)
+    def test_every_output_row_is_in_column_order(self, kind):
+        applied = 0
+        for s in range(200):
+            rng = random.Random(s)
+            g = random_graph(rng, max_vertices=6)
+            for mv_kind, params in applicable_moves(g, rng):
+                if mv_kind == kind:
+                    _assert_rows_in_order(apply_move(g, kind, params)[0])
+                    applied += 1
+        assert applied >= 10
+
+    def test_column_add_overwrites_inserts_and_deletes(self):
+        g = make_graph(
+            ["a", "b", "c", "d"],
+            [[1, 0, 1, 1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 1, 2, 0]],
+        )
+        out = column_add(g, "c", "b")
+        # a gains column b between a and c, d's b entry grows, c's vanishes
+        expected = [[1, 1, 1, 1], [1, 0, 0, 0], [0, 0, 0, 1], [0, 3, 2, 0]]
+        assert out.to_json()["adjacency"] == expected
+        _assert_rows_in_order(out)
+
+    def test_move_T_inserts_in_column_order(self):
+        g = make_graph(
+            ["a", "b", "c", "d"],
+            [[0, 0, 0, "inf"], [0, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]],
+        )
+        out = move_T(g, ["a", "d", "b"])
+        assert list(out._rows[0].items()) == [(1, _INF), (3, _INF)]
+        _assert_rows_in_order(out)
+
+    def test_with(self):
+        row = {1: 2, 3: _INF, 5: 1}
+        assert list(_with(row, 3, 4).items()) == [(1, 2), (3, 4), (5, 1)]
+        assert list(_with(row, 0, 1).items()) == [(0, 1), (1, 2), (3, _INF), (5, 1)]
+        assert list(_with(row, 4, 7)) == [1, 3, 4, 5]
+        assert list(_with(row, 6, 7)) == [1, 3, 5, 6]
+        assert list(_with(row, 3, 0).items()) == [(1, 2), (5, 1)]
+        assert _with(row, 2, 0) == row and _with(row, 2, 0) is not row
+        assert _with({2: 1}, 2, 0) == {}
+        assert row == {1: 2, 3: _INF, 5: 1}
 
 
 class TestColumnAdd:
