@@ -36,12 +36,17 @@ class EdgeRef(NamedTuple):
 
     @staticmethod
     def from_json(data) -> "EdgeRef":
-        if not isinstance(data, (list, tuple)) or len(data) != 3:
-            raise ValidationError(f"edge must be [src, dst, index], got {data!r}")
-        src, dst, idx = data
+        src, dst, idx = _edge_fields(data)
         if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
             raise ValidationError(f"edge index must be a nonnegative int, got {idx!r}")
         return EdgeRef(_json_name(src), _json_name(dst), idx)
+
+
+def _edge_fields(data) -> Sequence:
+    """An edge's ``[src, dst, index]``, checked for its shape only."""
+    if not isinstance(data, (list, tuple)) or len(data) != 3:
+        raise ValidationError(f"edge must be [src, dst, index], got {data!r}")
+    return data
 
 
 #: ∞ as a multiplicity in a sparse row; finite multiplicities are plain ints.
@@ -119,10 +124,10 @@ class Graph:
     # canonical); they are derived from the rows, so identity, hashing and
     # serialization ignore them.  The one derived structure a move carries
     # is ``_reach``, through ``column_add`` when the move cannot change it.
-    # ``_snf`` is ktheory's one slot: the relation matrix's column count and
-    # Smith diagonal, and the dense row transform once a K₀ residue has been
-    # asked for.  ``_pos``, the name index, is never written after it is
-    # built, so moves that keep the vertex tuple share their input's.
+    # ``_snf`` is ktheory's one slot: the relation matrix's column count,
+    # Smith diagonal and the reduction that K₀ residues replay.  ``_pos``,
+    # the name index, is never written after it is built, so moves that
+    # keep the vertex tuple share their input's.
     __slots__ = (
         "vertices", "_rows", "_pos", "_reach", "_emission", "_degrees", "_snf", "_report",
         "_digest",

@@ -8,14 +8,15 @@ read off a Smith normal form over ℤ with exact big-integer arithmetic,
 independently of the rest of the package, so the pair can serve as an
 oracle: every implemented move must leave it unchanged.
 
-``k_groups`` builds the matrix as sparse columns and first eliminates
-unit pivots (entries ±1, each giving an invariant factor 1), least fill
-first, so its cost follows the edges rather than n³.  Only the remainder
+The matrix is built as sparse columns, and unit pivots (entries ±1,
+each giving an invariant factor 1) are eliminated first, least fill
+first, so the cost follows the edges rather than n³.  Only the remainder
 goes to the dense ``smith_normal_form``.  Replaying the recorded
 elementary operations on a fresh copy of the matrix proves the reduction
-exactly, as ``_assert_snf`` proves the dense one.  ``k0_reduce`` reads
-the dense row transform U, which fixes the residues; ``k0_add`` needs
-only the diagonal.
+exactly, as ``_assert_snf`` proves the dense one.  ``k_groups`` reads
+the diagonal; ``k0_reduce`` replays the recorded row operations and the
+remainder's row transform on a vector, which fixes the residues;
+``k0_add`` needs only the diagonal.
 """
 
 from __future__ import annotations
@@ -387,38 +388,24 @@ def _assert_peeled(n: int, columns: list, ops: list, pivots: list, rest: tuple) 
         raise InternalError("recorded operations do not reach the pivots and remainder")
 
 
-def _peeled_diag(n: int, columns: list) -> list:
-    """The nonzero Smith diagonal of sparse columns over ``n`` rows.
-
-    One 1 per unit pivot peeled, then the dense remainder's diagonal.
-    """
-    ops, pivots, rest = _peel(n, columns)
-    _assert_peeled(n, columns, ops, pivots, rest)
-    block = rest[2]
-    return [1] * len(pivots) + (_diagonal(smith_normal_form(block)[0]) if block else [])
-
-
-def _diagonal(s: Matrix) -> list:
-    """The nonzero diagonal entries of a Smith form."""
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i]]
-
-
-def _snf_of(g: Graph, transform: bool = False) -> tuple:
-    """The relation matrix's column count, nonzero Smith diagonal and row transform.
+def _snf_of(g: Graph) -> tuple:
+    """The relation matrix's column count, nonzero Smith diagonal and reduction.
 
     Kept in the graph's one K-theory slot, so each is computed once and
-    lives exactly as long as the graph.  The diagonal comes from
-    :func:`_peeled_diag`; the transform U is ``None`` until asked for,
-    and then comes, with the same diagonal, from the dense
-    ``smith_normal_form``, whose U defines the K₀ residues.
+    lives exactly as long as the graph.  The unit pivots are peeled and
+    proved by :func:`_assert_peeled`; only a nonzero remainder block goes
+    to the dense ``smith_normal_form``.  The diagonal is one 1 per pivot,
+    then the remainder's.  The reduction, which :func:`k0_reduce` replays,
+    is the peeling's recorded operations and pivots, the remainder rows
+    and the remainder's row transform U.
     """
-    if g._snf is None or transform and g._snf[2] is None:
-        if transform:
-            s, u, _ = smith_normal_form(reg_matrix(g))
-            diag = _diagonal(s)
-        else:
-            u, diag = None, _peeled_diag(g.n, _relation_columns(g))
-        g._snf = (g._degs().regular.bit_count(), diag, u)
+    if g._snf is None:
+        cols = _relation_columns(g)
+        ops, pivots, (rows, live, block) = _peel(g.n, cols)
+        _assert_peeled(g.n, cols, ops, pivots, (rows, live, block))
+        s, u, _ = smith_normal_form(block) if block else ([], [], [])
+        diag = [1] * len(pivots) + [s[i][i] for i in range(min(len(rows), len(live))) if s[i][i]]
+        g._snf = (len(cols), diag, (ops, pivots, rows, u))
     return g._snf
 
 
@@ -444,7 +431,13 @@ def _integers(vec, what: str) -> None:
 
 
 def k0_reduce(g: Graph, vector) -> K0Class:
-    """Canonical residue of an integer vertex-vector modulo the column lattice."""
+    """Canonical residue of an integer vertex-vector modulo the column lattice.
+
+    The vector goes through the peeling's row operations.  The residues
+    are then 0 on each pivot row, the remainder's U applied to the
+    remainder rows, and the other rows in position order; the residue at
+    the position of each Smith diagonal entry d is reduced modulo d.
+    """
     try:
         vec = list(vector)
     except TypeError:
@@ -454,8 +447,14 @@ def k0_reduce(g: Graph, vector) -> K0Class:
     if len(vec) != g.n:
         raise ValidationError(f"vector length {len(vec)} for {g.n} vertices")
     _integers(vec, "vector")
-    _, diag, u = _snf_of(g, transform=True)
-    y = [sum(u[i][j] * vec[j] for j in range(g.n)) for i in range(g.n)]
+    _, diag, (ops, pivots, rows, u) = _snf_of(g)
+    for axis, a, b, f in ops:
+        if axis == "row":
+            vec[a] += f * vec[b]
+    rest = [vec[r] for r in rows]
+    done = {r for r, _, _ in pivots}.union(rows)
+    y = [0] * len(pivots) + [sum(map(mul, line, rest)) for line in u]
+    y += [x for i, x in enumerate(vec) if i not in done]
     return K0Class(tuple(_mod_residues(y, diag)))
 
 

@@ -39,6 +39,7 @@ from .graph import (
     Graph,
     _bits,
     _closure_mask,
+    _edge_fields,
     _first,
     _json_name,
     _mask,
@@ -62,8 +63,14 @@ class CoefficientSystem:
     def make(items) -> "CoefficientSystem":
         """Build from (v, edges, n) triples, merging equal (v, T) keys."""
         acc = {}
-        for v, edges, n in items:
-            edges = tuple(sorted(EdgeRef(*e) for e in edges))
+        for term in items:
+            if not isinstance(term, (list, tuple)) or len(term) != 3:
+                raise ValidationError(f"coefficient term must be (v, edges, n), got {term!r}")
+            v, edges, n = term
+            if not isinstance(edges, (list, tuple)):
+                raise ValidationError(f"term 'T' must be a list of edges, got {edges!r}")
+            edges = [e if type(e) is EdgeRef else EdgeRef(*_edge_fields(e)) for e in edges]
+            edges = tuple(sorted(edges))
             if len(set(edges)) != len(edges):
                 raise ValidationError(f"duplicate edge in T of {v!r}")
             if not isinstance(n, int) or isinstance(n, bool) or n <= 0:

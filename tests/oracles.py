@@ -183,3 +183,17 @@ def oracle_invariant_factors(m):
         prev = d
         k += 1
     return out
+
+
+def oracle_same_k0_class(m, x, y):
+    """Whether x − y lies in the column lattice of m.
+
+    Appending a column v to m keeps its invariant factors exactly when v
+    already lies in the lattice: otherwise the lattice either gains rank
+    or, at equal rank, has a smaller index in its saturation, so the
+    product of the factors drops.
+    """
+    diff = [a - b for a, b in zip(x, y)]
+    return oracle_invariant_factors(m) == oracle_invariant_factors(
+        [row + [d] for row, d in zip(m, diff)]
+    )

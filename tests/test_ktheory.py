@@ -1,5 +1,7 @@
 import random
 import re
+from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ import oracles
 from conftest import graphs
 from sample_graphs import edge_to_sink, inf_dag, inf_to_loop, looped_pair, one_loop, two_loops
 
+import graphck.ktheory
 from graphck import (
     Graph,
     InternalError,
+    KTheoryPair,
     ValidationError,
     corner_graph,
     k0_reduce,
@@ -29,7 +33,6 @@ from graphck.ktheory import (
     _assert_snf,
     _mat_mul,
     _peel,
-    _peeled_diag,
     _relation_columns,
     _snf_of,
     det_int,
@@ -42,14 +45,16 @@ matrices = st.lists(
     max_size=4,
 ).filter(lambda m: len({len(r) for r in m}) == 1)
 
-#: Small matrices rich in unit entries, so most get pivots peeled.
-unit_rich = st.integers(min_value=1, max_value=5).flatmap(
-    lambda cols: st.lists(
-        st.lists(st.sampled_from([-2, -1, -1, 0, 0, 1, 1, 2, 3, 6]), min_size=cols, max_size=cols),
-        min_size=1,
-        max_size=5,
-    )
-)
+#: Entry pools for seeded draws: sinks, ∞ emitters, torsion and dense remainders.
+POOLS = [DEFAULT_ENTRIES, (0, 1, "inf", "inf"), (0, 0, 1, 1, 2, 3, 5), (0, 1, 1, 1, 2)]
+
+#: Bases and heads of realized corners of 12 to 150 vertices.
+CORNERS = [
+    ([[2, 1], [1, 2]], [5, 5]),
+    ([[2, 1], [1, 2]], [74, 74]),
+    ([[3, 1, 0], [0, 2, 1], [1, 0, 4]], [10, 30, 8]),
+    ([[1, 1, 0], [0, 2, "inf"], [1, 0, 3]], [20, 15, 30]),
+]
 
 
 def _columns(m):
@@ -57,19 +62,68 @@ def _columns(m):
     return [{r: row[c] for r, row in enumerate(m) if row[c]} for c in range(len(m[0]))]
 
 
-def _dense_k_groups(g):
-    """``k_groups`` read from the dense ``smith_normal_form``, on a fresh copy of ``g``."""
-    h = Graph._trusted(g.vertices, g._rows)
-    _snf_of(h, transform=True)
-    return k_groups(h)
+def _dense_reference(g):
+    """The pair and a residue map read from ``smith_normal_form(reg_matrix(g))``.
+
+    The map sends a vector to U·vector reduced modulo the diagonal, so two
+    vectors share a K₀ class exactly when their images are equal.
+    """
+    m = reg_matrix(g)
+    s, u, _ = smith_normal_form(m)
+    cols = len(m[0]) if m else 0
+    diag = [s[i][i] for i in range(min(g.n, cols)) if s[i][i]]
+    pair = KTheoryPair(tuple(d for d in diag if d > 1), g.n - len(diag), cols - len(diag))
+
+    def residues(vec):
+        y = [sum(map(mul, row, vec)) for row in u]
+        return tuple([x % d for x, d in zip(y, diag)] + y[len(diag):])
+
+    return pair, residues
 
 
-def _peeled_k_groups(g):
-    """``k_groups`` on a fresh copy of ``g``, checked to come from the peeled path."""
-    h = Graph._trusted(g.vertices, g._rows)
-    pair = k_groups(h)
-    assert h._snf[2] is None
-    return pair
+def _relation_cols(g):
+    """The relation columns from the definition: row v of A minus χ_v, each regular v."""
+    adj = g.adjacency
+    return [
+        [int(m) - (i == j) for i, m in enumerate(adj[j])]
+        for j, v in enumerate(g.vertices)
+        if g.is_regular(v)
+    ]
+
+
+def _draws(seed, count):
+    """Seeded draws of 1 to 8 vertices over ``POOLS``."""
+    rng = random.Random(seed)
+    return [
+        random_graph(random.Random(rng.getrandbits(64)), rng.randint(1, 8), rng.choice(POOLS))
+        for _ in range(count)
+    ]
+
+
+def _realized(base, heads):
+    names = [f"v{i}" for i in range(len(base))]
+    return realize(corner_graph(make_graph(names, base), dict(zip(names, [h + 1 for h in heads]))))
+
+
+def _check_against_dense(g, rng):
+    """``k_groups`` and ``k0_reduce``'s class equality agree with the dense reference.
+
+    Classes are compared on random vectors, each also shifted by random
+    multiples of the relation columns and then by χ of the first vertex.
+    """
+    pair, residues = _dense_reference(g)
+    assert k_groups(g) == pair, g.to_json()
+    cols = _relation_cols(g)
+    vecs = [[rng.randint(-4, 4) for _ in range(g.n)] for _ in range(4)]
+    for x in vecs[:2]:
+        for col in cols:
+            f = rng.randint(-3, 3)
+            x = [a + f * b for a, b in zip(x, col)]
+        vecs += [x, [a + (i == 0) for i, a in enumerate(x)]]
+    got = [k0_reduce(g, v) for v in vecs]
+    want = [residues(v) for v in vecs]
+    for i, j in combinations(range(len(vecs)), 2):
+        assert (got[i] == got[j]) == (want[i] == want[j]), (g.to_json(), vecs[i], vecs[j])
 
 
 class TestRegMatrix:
@@ -202,6 +256,40 @@ class TestK0Reduce:
         with pytest.raises(ValidationError, match=message):
             k0_reduce(two_loops(), bad)
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(graphs(max_vertices=4), st.data())
+    def test_class_equality_matches_the_lattice_oracle(self, g, data):
+        m = reg_matrix(g)
+        small = st.integers(-4, 4)
+        x = [data.draw(small) for _ in range(g.n)]
+        y = list(x)
+        for col in _relation_cols(g):
+            f = data.draw(small)
+            y = [a + f * b for a, b in zip(y, col)]
+        y = [a + data.draw(st.sampled_from([0, 0, 0, 1, -1, 2])) for a in y]
+        same = k0_reduce(g, x) == k0_reduce(g, y)
+        assert same == oracles.oracle_same_k0_class(m, x, y)
+
+    def test_adding_a_relation_column_keeps_the_class(self):
+        rng = random.Random(30)
+        for g in _draws(30, 300) + [_realized(base, heads) for base, heads in CORNERS]:
+            x = [rng.randint(-5, 5) for _ in range(g.n)]
+            cls, total = k0_reduce(g, x), list(x)
+            for col in _relation_cols(g):
+                f = rng.choice([-1, 1]) * rng.randint(1, 9)
+                assert k0_reduce(g, [a + f * b for a, b in zip(x, col)]) == cls
+                total = [a + f * b for a, b in zip(total, col)]
+            assert k0_reduce(g, total) == cls
+
+    def test_large_corner_heads_share_their_base_class(self):
+        g = realize(corner_graph(make_graph(["a", "b"], [[2, 1], [1, 2]]), {"a": 501, "b": 501}))
+        assert g.n == 1002
+        classes = [k0_reduce(g, [int(i == j) for j in range(g.n)]) for i in range(g.n)]
+        for v, cls in zip(g.vertices[2:], classes[2:]):
+            assert cls == classes[g.index(v.split("^")[0])], v
+        a, b = classes[:2]
+        assert a != b and k0_add(g, a, b) == k0_reduce(g, [0] * g.n) != a
+
     @pytest.mark.parametrize("bad", [[1.5, 0], ["1", 0], [0, True], [0, None]])
     def test_entries_must_be_ints(self, bad):
         g = make_graph(["a", "b"], [[2, 1], [1, 2]])
@@ -218,14 +306,13 @@ class TestK0Reduce:
 class TestPeeledPath:
     def test_equals_dense_on_random_graphs(self):
         rng = random.Random(20261019)
-        pools = [DEFAULT_ENTRIES, (0, 1, "inf", "inf"), (0, 0, 1, 1, 2, 3, 5), (0, 1, 1, 1, 2)]
         drawn = [Graph([], []), inf_dag(), edge_to_sink()]
         for _ in range(600):
-            entries = rng.choice(pools)
+            entries = rng.choice(POOLS)
             drawn.append(random_graph(random.Random(rng.getrandbits(64)), 8, entries))
         seen = {"inf": 0, "sink": 0, "no regular": 0, "torsion": 0, "remainder": 0}
         for g in drawn:
-            assert _peeled_k_groups(g) == _dense_k_groups(g), g.to_json()
+            _check_against_dense(g, rng)
             seen["inf"] += any(m == float("inf") for row in g._rows for m in row.values())
             seen["sink"] += any(not row for row in g._rows)
             seen["no regular"] += not g._degs().regular
@@ -233,34 +320,36 @@ class TestPeeledPath:
             seen["remainder"] += bool(_peel(g.n, _relation_columns(g))[2][0])
         assert all(seen.values()), seen
 
-    @pytest.mark.parametrize(
-        "base, heads",
-        [
-            ([[2, 1], [1, 2]], [5, 5]),
-            ([[2, 1], [1, 2]], [74, 74]),
-            ([[3, 1, 0], [0, 2, 1], [1, 0, 4]], [10, 30, 8]),
-            ([[1, 1, 0], [0, 2, "inf"], [1, 0, 3]], [20, 15, 30]),
-        ],
-    )
+    @pytest.mark.parametrize("base, heads", CORNERS)
     def test_equals_dense_on_realized_corners(self, base, heads):
-        names = [f"v{i}" for i in range(len(base))]
-        g = realize(corner_graph(make_graph(names, base), dict(zip(names, [h + 1 for h in heads]))))
+        g = _realized(base, heads)
         assert g.n == len(base) + sum(heads) <= 150
-        assert _peeled_k_groups(g) == _dense_k_groups(g)
+        _check_against_dense(g, random.Random(g.n))
 
-    @pytest.mark.parametrize("graph", [two_loops, looped_pair, inf_to_loop, edge_to_sink])
-    def test_residues_still_come_from_the_dense_transform(self, graph):
-        g = graph()
-        k_groups(g)
-        assert g._snf[2] is None
-        vec = list(range(1, g.n + 1))
-        assert k0_reduce(g, vec) == k0_reduce(Graph._trusted(g.vertices, g._rows), vec)
-        assert g._snf[2] == smith_normal_form(reg_matrix(g))[1]
+    def test_smith_normal_form_sees_only_remainders(self, monkeypatch):
+        seen = []
+
+        def spy(m):
+            seen.append([list(row) for row in m])
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(graphck.ktheory, "smith_normal_form", spy)
+        drawn = [two_loops(), looped_pair(), inf_to_loop(), edge_to_sink(), make_graph(["a"], [[3]])]
+        calls = []
+        for g in drawn + _draws(20261020, 300):
+            block = _peel(g.n, _relation_columns(g))[2][2]
+            seen.clear()
+            k_groups(g)
+            k0_reduce(g, [1] * g.n)
+            assert seen == ([block] if block else []), g.to_json()
+            assert not block or any(map(any, block))
+            calls.append(len(seen))
+        assert calls[:5] == [0, 0, 0, 0, 1] and 0 < sum(calls) < len(calls)
 
     @settings(max_examples=100)
-    @given(st.one_of(matrices, unit_rich))
-    def test_matches_minor_gcd_oracle(self, m):
-        assert _peeled_diag(len(m), _columns(m)) == oracles.oracle_invariant_factors(m)
+    @given(graphs(max_vertices=5, entries=(0, 0, 1, 1, 2, 3, "inf")))
+    def test_matches_minor_gcd_oracle(self, g):
+        assert _snf_of(g)[1] == oracles.oracle_invariant_factors(reg_matrix(g))
 
     def test_operations_grow_with_the_edges(self):
         base = make_graph(["a", "b"], [[2, 1], [1, 2]])

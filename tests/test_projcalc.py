@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -71,6 +72,24 @@ class TestCoefficientSystem:
     def test_rejects_zero_multiplicity(self):
         with pytest.raises(ValidationError):
             sys_of(("v", [], 0))
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ([("a", [("a", "b")], 1)], "edge must be [src, dst, index], got ('a', 'b')"),
+            ([("a", [5], 1)], "edge must be [src, dst, index], got 5"),
+            ([("a", None, 1)], "term 'T' must be a list of edges, got None"),
+            (
+                [("a", [("a", "b", 0)])],
+                "coefficient term must be (v, edges, n), got ('a', [('a', 'b', 0)])",
+            ),
+            ([5], "coefficient term must be (v, edges, n), got 5"),
+        ],
+        ids=["short-edge", "edge-not-a-list", "edges-null", "short-term", "term-not-a-list"],
+    )
+    def test_malformed_terms_raise_one_line(self, items, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            CoefficientSystem.make(items)
 
     @pytest.mark.parametrize("index", [2.5, True])
     def test_non_int_edge_index_is_not_an_edge(self, index):
