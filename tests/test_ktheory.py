@@ -326,6 +326,18 @@ class TestPeeledPath:
         assert g.n == len(base) + sum(heads) <= 150
         _check_against_dense(g, random.Random(g.n))
 
+    @pytest.mark.parametrize("graph", [two_loops, looped_pair, inf_to_loop, edge_to_sink])
+    def test_residues_still_come_from_the_dense_transform(self, graph):
+        """Residues read after ``k_groups`` fills the slot split vectors into
+        classes as U of ``smith_normal_form(reg_matrix(g))`` does, and equal
+        those of a fresh copy whose slot ``k0_reduce`` fills itself."""
+        g = graph()
+        k_groups(g)
+        assert g._snf is not None
+        vec = list(range(1, g.n + 1))
+        assert k0_reduce(g, vec) == k0_reduce(Graph._trusted(g.vertices, g._rows), vec)
+        _check_against_dense(g, random.Random(g.n))
+
     def test_smith_normal_form_sees_only_remainders(self, monkeypatch):
         seen = []
 
