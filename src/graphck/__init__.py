@@ -6,161 +6,65 @@ of admissible pairs, a symbolic calculus of projection coefficient
 systems producing corner graphs, spike and star unitization graphs, and
 an independent integer-matrix K-theory oracle that certifies every
 transformation.
+
+Importing the package loads none of its modules: a public name is looked
+up in its home module on first use (PEP 562) and kept here after that.
 """
 
-from .canonical import StablyCompleteReport, canonicalize, is_stably_complete
-from .corners import (
-    CornerGraph,
-    build_EH,
-    corner_graph,
-    make_corner,
-    realize,
-    stabilize,
-    unitize,
-)
-from .corpus import random_graph, verify_corpus
-from .errors import (
-    CannotRealizeError,
-    DomainError,
-    GraphCKError,
-    InternalError,
-    MoveError,
-    NotFoundError,
-    ValidationError,
-)
-from .extnat import INF, ExtNat
-from .graph import (
-    EdgeRef,
-    Graph,
-    VertexClass,
-    condition_K,
-    dominates,
-    hereditary_closure,
-    is_hereditary,
-    is_isomorphic,
-    is_saturated,
-    make_graph,
-    reaches,
-    saturate,
-    simple_cycle_count_at,
-    vertex_class,
-)
-from .ideals import (
-    AdmissiblePair,
-    IdealLattice,
-    admissible_pairs,
-    breaking_vertices,
-    restriction_graph,
-    saturated_hereditary_sets,
-)
-from .ktheory import K0Class, KTheoryPair, k0_reduce, k_groups, reg_matrix, smith_normal_form
-from .moves import (
-    REMAINDER,
-    MoveRecord,
-    Partition,
-    apply_move,
-    collapse,
-    column_add,
-    column_ops_along_path,
-    move_T,
-    out_split,
-    remove_regular_sources,
-    replay,
-    split_breaking,
-)
-from .projcalc import (
-    CoefficientSystem,
-    ProjectionSequence,
-    corner_pipeline,
-    eliminate_dominated_emitter,
-    eliminate_loop_emitter,
-    eliminate_undominated_emitter,
-    fullify,
-    head_k0_class,
-    is_full,
-    k0_class_of,
-    make_partitioned,
-    normalize_multiplicities,
-    tail_instance,
-    to_multiplicities,
-    undominated_k0_action,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissiblePair",
-    "CannotRealizeError",
-    "CoefficientSystem",
-    "CornerGraph",
-    "DomainError",
-    "EdgeRef",
-    "ExtNat",
-    "Graph",
-    "GraphCKError",
-    "IdealLattice",
-    "INF",
-    "InternalError",
-    "K0Class",
-    "KTheoryPair",
-    "MoveError",
-    "MoveRecord",
-    "NotFoundError",
-    "Partition",
-    "ProjectionSequence",
-    "REMAINDER",
-    "StablyCompleteReport",
-    "ValidationError",
-    "VertexClass",
-    "admissible_pairs",
-    "apply_move",
-    "breaking_vertices",
-    "build_EH",
-    "canonicalize",
-    "collapse",
-    "column_add",
-    "column_ops_along_path",
-    "condition_K",
-    "corner_graph",
-    "corner_pipeline",
-    "dominates",
-    "eliminate_dominated_emitter",
-    "eliminate_loop_emitter",
-    "eliminate_undominated_emitter",
-    "fullify",
-    "head_k0_class",
-    "hereditary_closure",
-    "is_full",
-    "is_hereditary",
-    "is_isomorphic",
-    "is_saturated",
-    "is_stably_complete",
-    "k0_class_of",
-    "k0_reduce",
-    "k_groups",
-    "make_corner",
-    "make_graph",
-    "make_partitioned",
-    "move_T",
-    "normalize_multiplicities",
-    "out_split",
-    "random_graph",
-    "reaches",
-    "realize",
-    "reg_matrix",
-    "remove_regular_sources",
-    "replay",
-    "restriction_graph",
-    "saturate",
-    "saturated_hereditary_sets",
-    "simple_cycle_count_at",
-    "smith_normal_form",
-    "split_breaking",
-    "stabilize",
-    "tail_instance",
-    "to_multiplicities",
-    "undominated_k0_action",
-    "unitize",
-    "vertex_class",
-    "verify_corpus",
-]
+#: The public names, by the module that defines them.
+_HOMES = {
+    "canonical": ("StablyCompleteReport", "canonicalize", "is_stably_complete"),
+    "corners": (
+        "CornerGraph", "build_EH", "corner_graph", "make_corner", "realize", "stabilize",
+        "unitize",
+    ),
+    "corpus": ("random_graph", "verify_corpus"),
+    "errors": (
+        "CannotRealizeError", "DomainError", "GraphCKError", "InternalError", "MoveError",
+        "NotFoundError", "ValidationError",
+    ),
+    "extnat": ("INF", "ExtNat"),
+    "graph": (
+        "EdgeRef", "Graph", "VertexClass", "condition_K", "dominates", "hereditary_closure",
+        "is_hereditary", "is_isomorphic", "is_saturated", "make_graph", "reaches", "saturate",
+        "simple_cycle_count_at", "vertex_class",
+    ),
+    "ideals": (
+        "AdmissiblePair", "IdealLattice", "admissible_pairs", "breaking_vertices",
+        "restriction_graph", "saturated_hereditary_sets",
+    ),
+    "ktheory": (
+        "K0Class", "KTheoryPair", "k0_reduce", "k_groups", "reg_matrix", "smith_normal_form",
+    ),
+    "moves": (
+        "REMAINDER", "MoveRecord", "Partition", "apply_move", "collapse", "column_add",
+        "column_ops_along_path", "move_T", "out_split", "remove_regular_sources", "replay",
+        "split_breaking",
+    ),
+    "projcalc": (
+        "CoefficientSystem", "ProjectionSequence", "corner_pipeline",
+        "eliminate_dominated_emitter", "eliminate_loop_emitter", "eliminate_undominated_emitter",
+        "fullify", "head_k0_class", "is_full", "k0_class_of", "make_partitioned",
+        "normalize_multiplicities", "tail_instance", "to_multiplicities", "undominated_k0_action",
+    ),
+}
+
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -19,7 +19,7 @@ invariants computed by this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError
 from .graph import (
@@ -34,8 +34,7 @@ from .graph import (
 from .moves import _breaks, _exhaust, _remove_sources, apply_move
 
 
-@dataclass(frozen=True)
-class StablyCompleteReport:
+class StablyCompleteReport(NamedTuple):
     """Outcome of the six structural checks, with witnesses per violation."""
 
     satisfied: bool

@@ -16,24 +16,32 @@ unitization of the algebra carried by the corner graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CannotRealizeError, DomainError, ValidationError
 from .extnat import INF, ExtNat
 from .graph import EdgeRef, Graph, _closure_mask, _mask, _raw, fresh_names
 
 
-@dataclass(frozen=True)
-class CornerGraph:
-    """A base graph plus a head length h_v in ℕ₀ ∪ {∞} for every vertex."""
-
+class _CornerGraphFields(NamedTuple):
     base: Graph
     heads: tuple  # of (vertex, ExtNat), in base vertex order
 
-    def __post_init__(self):
-        names = [v for v, _ in self.heads]
-        if names != list(self.base.vertices):
+
+class CornerGraph(_CornerGraphFields):
+    """A base graph plus a head length h_v in ℕ₀ ∪ {∞} for every vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: Graph, heads: tuple):
+        if [v for v, _ in heads] != list(base.vertices):
             raise ValidationError("heads must cover exactly the base vertices, in order")
+        return super().__new__(cls, base, heads)
+
+    @classmethod
+    def _make(cls, fields) -> "CornerGraph":
+        """Checked like the constructor, and so is ``_replace``, which calls it."""
+        return cls(*fields)
 
     def head(self, v: str) -> ExtNat:
         return self.heads[self.base.index(v)][1]

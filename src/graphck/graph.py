@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
 
@@ -362,8 +361,7 @@ def make_graph(vertices: Sequence[str], adjacency: Sequence[Sequence]) -> Graph:
     return Graph(vertices, adjacency)
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """Structural classification of a single vertex."""
 
     kind: str  # "regular" | "sink" | "infinite-emitter"

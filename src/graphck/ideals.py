@@ -11,11 +11,11 @@ algebra realizes a given pair's ideal up to stable isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, compress
 from json.encoder import encode_basestring
 from operator import and_
+from typing import NamedTuple
 
 from .errors import DomainError
 from .graph import (
@@ -30,8 +30,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(NamedTuple):
     """A hereditary saturated set H with breaking vertices S for it."""
 
     h: frozenset
@@ -41,17 +40,22 @@ class AdmissiblePair:
         return {"H": sorted(self.h), "S": sorted(self.s)}
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class _IdealLatticeFields(NamedTuple):
+    nodes: tuple
+    up: tuple
+
+
+class IdealLattice(_IdealLatticeFields):
     """All admissible pairs of a graph under containment order.
 
     (H1, S1) <= (H2, S2) iff H1 ⊆ H2 and S1 ⊆ H2 ∪ S2.  The order has
     bottom (∅, ∅) and top (all vertices, ∅).  It is kept as one bitmask
     row per node: bit j of ``up[i]`` is set iff nodes[i] <= nodes[j].
+    Instances have a ``__dict__``, which holds only the cached ``order``.
     """
 
-    nodes: tuple
-    up: tuple
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def order(self) -> frozenset:

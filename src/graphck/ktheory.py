@@ -21,10 +21,10 @@ remainder's row transform on a vector, which fixes the residues;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InternalError, ValidationError
 from .graph import Graph
@@ -33,8 +33,7 @@ from .graph import Graph
 Matrix = list  # list of list of int
 
 
-@dataclass(frozen=True)
-class KTheoryPair:
+class KTheoryPair(NamedTuple):
     """Isomorphism class of the (K₀, K₁) pair.
 
     K₀ = ℤ^k0_free_rank ⊕ ℤ/d₁ ⊕ ... with the dᵢ > 1 in divisibility
@@ -53,8 +52,7 @@ class KTheoryPair:
         }
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(NamedTuple):
     """Canonical residue of an integer vertex-vector in the K₀ cokernel."""
 
     residues: tuple

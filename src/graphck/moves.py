@@ -26,7 +26,7 @@ Applying a move through :func:`apply_move` also yields a
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 from .errors import MoveError, ValidationError
 from .graph import _INF, EdgeRef, Graph, _with, fresh_names
@@ -38,13 +38,19 @@ class _Remainder:
     def __repr__(self):
         return "REMAINDER"
 
+    def __reduce__(self):
+        return "REMAINDER"  # the module's one instance, so copies compare equal
+
 
 #: Placeholder usable once per partition; it may be the only infinite class.
 REMAINDER = _Remainder()
 
 
-@dataclass(frozen=True)
-class Partition:
+class _PartitionFields(NamedTuple):
+    entries: tuple
+
+
+class Partition(_PartitionFields):
     """An ordered partition of the out-edges of one vertex.
 
     ``entries`` holds finite ``frozenset`` s of :class:`EdgeRef` with a
@@ -53,14 +59,19 @@ class Partition:
     and only the remainder can be.
     """
 
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        ok = all(isinstance(c, (_Remainder, frozenset)) for c in self.entries)
-        if not ok:
+    def __new__(cls, entries: tuple):
+        if not all(isinstance(c, (_Remainder, frozenset)) for c in entries):
             raise ValidationError("partition classes must be edge sets or REMAINDER")
-        if sum(1 for c in self.entries if isinstance(c, _Remainder)) > 1:
+        if sum(1 for c in entries if isinstance(c, _Remainder)) > 1:
             raise ValidationError("at most one remainder class")
+        return super().__new__(cls, entries)
+
+    @classmethod
+    def _make(cls, fields) -> "Partition":
+        """Checked like the constructor, and so is ``_replace``, which calls it."""
+        return cls(*fields)
 
     def to_json(self) -> list:
         return [
@@ -317,8 +328,9 @@ class MoveRecord:
     graphs instead, hashes both on the first read of either hash (each
     graph's own cached :meth:`Graph.digest`) and then drops them; its
     fields read the same.  Records are immutable and compare by their
-    four fields; like a frozen dataclass, a record hashes its fields, so
-    ``hash`` raises ``TypeError`` while ``params`` is a dict.
+    four fields.  A record hashes its fields, so ``hash`` raises
+    ``TypeError`` while ``params`` is a dict, and assigning to or deleting
+    an attribute raises ``AttributeError``.
     """
 
     __slots__ = ("kind", "params", "_hashes", "_graphs")
@@ -370,10 +382,10 @@ class MoveRecord:
         return MoveRecord, self._fields()
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_json(self) -> dict:
         return {

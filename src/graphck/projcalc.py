@@ -28,8 +28,7 @@ which the tests track explicitly.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, InternalError, ValidationError
 from .extnat import INF, ExtNat
@@ -53,31 +52,41 @@ from .canonical import companion, is_stably_complete
 # -- data -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientSystem:
+class CoefficientSystem(NamedTuple):
     """Finite map (vertex, finite edge set) → positive multiplicity."""
 
     terms: tuple  # of (v, tuple_of_EdgeRef_sorted, n), canonically sorted
 
     @staticmethod
     def make(items) -> "CoefficientSystem":
-        """Build from (v, edges, n) triples, merging equal (v, T) keys."""
+        """Build from (v, edges, n) triples, merging equal (v, T) keys.
+
+        Edges are checked for their shape only; :meth:`validate` checks
+        them against a graph.
+        """
+        if not isinstance(items, (list, tuple)):
+            raise ValidationError(f"coefficient system must be a list of terms, got {items!r}")
         acc = {}
-        for term in items:
-            if not isinstance(term, (list, tuple)) or len(term) != 3:
-                raise ValidationError(f"coefficient term must be (v, edges, n), got {term!r}")
-            v, edges, n = term
-            if not isinstance(edges, (list, tuple)):
-                raise ValidationError(f"term 'T' must be a list of edges, got {edges!r}")
-            edges = [e if type(e) is EdgeRef else EdgeRef(*_edge_fields(e)) for e in edges]
-            edges = tuple(sorted(edges))
-            if len(set(edges)) != len(edges):
-                raise ValidationError(f"duplicate edge in T of {v!r}")
-            if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-                raise ValidationError(f"multiplicity must be a positive int, got {n!r}")
-            key = (str(v), edges)
-            acc[key] = acc.get(key, 0) + n
-        terms = tuple(sorted((v, t, n) for (v, t), n in acc.items()))
+        try:  # sorting and hashing the edges raise TypeError on names or indices of mixed types
+            for term in items:
+                if not isinstance(term, (list, tuple)) or len(term) != 3:
+                    raise ValidationError(f"coefficient term must be (v, edges, n), got {term!r}")
+                v, edges, n = term
+                if not isinstance(edges, (list, tuple)):
+                    raise ValidationError(f"term 'T' must be a list of edges, got {edges!r}")
+                edges = [e if type(e) is EdgeRef else EdgeRef(*_edge_fields(e)) for e in edges]
+                edges = tuple(sorted(edges))
+                if len(set(edges)) != len(edges):
+                    raise ValidationError(f"duplicate edge in T of {v!r}")
+                if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+                    raise ValidationError(f"multiplicity must be a positive int, got {n!r}")
+                key = (str(v), edges)
+                acc[key] = acc.get(key, 0) + n
+            terms = tuple(sorted((v, t, n) for (v, t), n in acc.items()))
+        except TypeError:
+            raise ValidationError(
+                f"edges need string names and int indices, got {items!r}"
+            ) from None
         return CoefficientSystem(terms)
 
     @staticmethod
@@ -141,8 +150,7 @@ class CoefficientSystem:
         return CoefficientSystem.make(items)
 
 
-@dataclass(frozen=True)
-class ProjectionSequence:
+class ProjectionSequence(NamedTuple):
     """A finite head of systems plus an optional countably-repeated template."""
 
     head: tuple  # of CoefficientSystem

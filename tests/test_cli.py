@@ -215,6 +215,40 @@ def test_import_builds_no_parser():
     assert done.stdout == "0\n"
 
 
+_STARTUP = """
+import json, sys
+import graphck
+package = sorted(m for m in sys.modules if m.startswith("graphck."))
+import graphck.cli
+cli = sorted({"graphck.projcalc", "dataclasses", "inspect"} & set(sys.modules))
+names = {}
+exec("from graphck import *", names)
+unbound = sorted(set(graphck.__all__) - (set(names) & set(dir(graphck))))
+foreign = sorted(
+    name for name in graphck.__all__
+    if names[name] is not getattr(sys.modules[names[name].__module__], name)
+)
+try:
+    graphck.no_such_name
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps([package, cli, unbound, foreign, error]))
+"""
+
+
+def test_import_loads_only_what_is_used():
+    """The package loads no module on import and the CLI only the modules it calls.
+
+    Every public name is then bound by a star import, listed by ``dir`` and
+    resolved to the object in its home module; an unknown name raises.
+    """
+    done = _run_module("-c", _STARTUP)
+    assert done.stderr == ""
+    package, cli, unbound, foreign, error = json.loads(done.stdout)
+    assert (package, cli, unbound, foreign) == ([], [], [], [])
+    assert "no_such_name" in error
+
+
 def test_verify_reports_line(capsys):
     code = main(["verify", "--corpus", "20", "--max-vertices", "4", "--seed", "7"])
     assert code == 0

@@ -84,8 +84,32 @@ class TestCoefficientSystem:
                 "coefficient term must be (v, edges, n), got ('a', [('a', 'b', 0)])",
             ),
             ([5], "coefficient term must be (v, edges, n), got 5"),
+            (5, "coefficient system must be a list of terms, got 5"),
+            (None, "coefficient system must be a list of terms, got None"),
+            (
+                [("a", [(5, "b", 0), ("a", "b", 0)], 1)],
+                "edges need string names and int indices, got [('a', [(5, 'b', 0), ('a', 'b', 0)], 1)]",
+            ),
+            (
+                [("a", [("a", "b", None), ("a", "b", 0)], 1)],
+                "edges need string names and int indices, "
+                "got [('a', [('a', 'b', None), ('a', 'b', 0)], 1)]",
+            ),
+            (
+                [("a", [("a", "b", None)], 1), ("a", [("a", "b", 0)], 1)],
+                "edges need string names and int indices, "
+                "got [('a', [('a', 'b', None)], 1), ('a', [('a', 'b', 0)], 1)]",
+            ),
+            (
+                [("a", [(["a"], "b", 0)], 1)],
+                "edges need string names and int indices, got [('a', [(['a'], 'b', 0)], 1)]",
+            ),
         ],
-        ids=["short-edge", "edge-not-a-list", "edges-null", "short-term", "term-not-a-list"],
+        ids=[
+            "short-edge", "edge-not-a-list", "edges-null", "short-term", "term-not-a-list",
+            "items-not-a-list", "items-null", "mixed-names", "mixed-indices",
+            "mixed-indices-across-terms", "unhashable-name",
+        ],
     )
     def test_malformed_terms_raise_one_line(self, items, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
