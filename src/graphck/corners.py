@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import CannotRealizeError, DomainError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import EdgeRef, Graph, _closure_mask, _mask, _raw, fresh_names
+from .graph import EdgeRef, Graph, _closure_mask, _fresh, _mask, fresh_names
 
 
 class _CornerGraphFields(NamedTuple):
@@ -29,11 +29,16 @@ class _CornerGraphFields(NamedTuple):
 
 
 class CornerGraph(_CornerGraphFields):
-    """A base graph plus a head length h_v in ℕ₀ ∪ {∞} for every vertex."""
+    """A base graph plus a head length h_v in ℕ₀ ∪ {∞} for every vertex.
+
+    Each head is coerced through ``ExtNat.of``, so an int or ``"inf"``
+    becomes an ``ExtNat`` and any other value raises ``DomainError``.
+    """
 
     __slots__ = ()
 
     def __new__(cls, base: Graph, heads: tuple):
+        heads = tuple((v, ExtNat.of(h)) for v, h in heads)
         if [v for v, _ in heads] != list(base.vertices):
             raise ValidationError("heads must cover exactly the base vertices, in order")
         return super().__new__(cls, base, heads)
@@ -70,7 +75,7 @@ def make_corner(base: Graph, heads: dict) -> CornerGraph:
     extra = [v for v in heads if not base.has_vertex(v)]
     if extra:
         raise ValidationError(f"heads for unknown vertices {extra}")
-    return CornerGraph(base, tuple((v, ExtNat.of(heads[v])) for v in base.vertices))
+    return CornerGraph(base, tuple((v, heads[v]) for v in base.vertices))
 
 
 def stabilize(g: Graph) -> CornerGraph:
@@ -144,14 +149,10 @@ def build_EH(g: Graph, H) -> Graph:
         raise DomainError("the subgraph outside H has a cycle")
 
     paths = _entering_paths(g, H, comp)
-    names = []
-    taken = set(g.vertices)
-    for seq in paths:
-        name = "·".join(f"e({e.src}→{e.dst},{e.index})" for e in seq)
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        names.append(name)
+    names = _fresh(
+        ["·".join(f"e({e.src}→{e.dst},{e.index})" for e in seq) for seq in paths],
+        set(g.vertices),
+    )
 
     core = g.induced(H)
     rows = core._rows + tuple({core.index(seq[-1].dst): 1} for seq in paths)
@@ -186,8 +187,6 @@ def unitize(cg: CornerGraph) -> Graph:
     sink when they are all zero).
     """
     base = cg.base
-    star = "⋆"
-    while base.has_vertex(star):
-        star += "'"
-    spokes = {j: _raw(h) for j, (_, h) in enumerate(cg.heads) if h}
+    (star,) = _fresh(["⋆"], set(base.vertices))
+    spokes = {j: h._v for j, (_, h) in enumerate(cg.heads) if h}
     return Graph._trusted(base.vertices + (star,), base._rows + (spokes,))

@@ -5,11 +5,22 @@ number of parallel edges, or by countably many.  Arithmetic saturates:
 ∞ absorbs addition and positive multiplication, 0·∞ = 0, and the
 decrement of ∞ is ∞ again (removing one edge from an infinite parallel
 family leaves an infinite family).
+
+A value is stored as a nonnegative ``int``, or as ``_INF`` (the float
+``math.inf``) for ∞: the same value a graph row holds.  Float ∞ already
+saturates under ``+`` and ordering, so the operators act on stored
+values directly.  :func:`_ext` turns a stored value into an ``ExtNat``
+and ``ExtNat.of(x)._v`` turns one back.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
+
+#: The stored form of ∞, in ``ExtNat`` values and in graph rows alike.
+_INF = math.inf
 
 
 class ExtNat:
@@ -44,110 +55,102 @@ class ExtNat:
 
     @property
     def is_infinite(self) -> bool:
-        return self._v is None
+        return self._v is _INF
 
     @property
     def is_finite(self) -> bool:
-        return self._v is not None
+        return self._v is not _INF
 
     def to_json(self):
         """JSON value: a plain int, or the string ``"inf"``."""
-        return "inf" if self._v is None else self._v
+        return "inf" if self._v is _INF else self._v
+
+    def __reduce__(self):
+        # through ``of``, so that a pickled or copied ∞ comes back as ``INF`` itself
+        return ExtNat.of, (self.to_json(),)
 
     def dec(self) -> "ExtNat":
         """Subtract one: ∞ - 1 = ∞; defined on finite values only for n >= 1."""
-        if self._v is None:
-            return self
-        if self._v == 0:
+        if not self._v:
             raise DomainError("cannot decrement 0 in ℕ ∪ {∞}")
-        return ExtNat(self._v - 1)
+        return _ext(self._v - 1)
 
     def __int__(self) -> int:
-        if self._v is None:
+        if self._v is _INF:
             raise DomainError("∞ has no integer value")
         return self._v
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._v is None or other._v is None:
-            return INF
-        return ExtNat(self._v + other._v)
+        v = _value(other)
+        return NotImplemented if v is None else _ext(self._v + v)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        v = _value(other)
+        if v is None:
             return NotImplemented
-        if self._v == 0 or other._v == 0:
-            return ExtNat(0)
-        if self._v is None or other._v is None:
-            return INF
-        return ExtNat(self._v * other._v)
+        return _ext(self._v * v if self._v and v else 0)  # 0·∞ = 0, not nan
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._v == other._v
+        v = _value(other)
+        return NotImplemented if v is None else self._v == v
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._v is None:
-            return False
-        if other._v is None:
-            return True
-        return self._v < other._v
+        v = _value(other)
+        return NotImplemented if v is None else self._v < v
 
     def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self == other or self < other
+        v = _value(other)
+        return NotImplemented if v is None else self._v <= v
 
     def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other < self
+        v = _value(other)
+        return NotImplemented if v is None else self._v > v
 
     def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other <= self
+        v = _value(other)
+        return NotImplemented if v is None else self._v >= v
 
     def __bool__(self):
-        return self._v != 0
+        return bool(self._v)
 
     def __hash__(self):
-        return hash(float("inf")) if self._v is None else hash(self._v)
+        return hash(self._v)
 
     def __repr__(self):
-        return "∞" if self._v is None else str(self._v)
+        return "∞" if self._v is _INF else str(self._v)
 
 
-def _coerce(value):
-    if isinstance(value, ExtNat):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        if value < 0:
-            return NotImplemented
-        return ExtNat(value)
-    return NotImplemented
+def _value(x):
+    """The stored value of an ExtNat or a nonnegative int; None for any other operand."""
+    if isinstance(x, ExtNat):
+        return x._v
+    if isinstance(x, int) and not isinstance(x, bool) and x >= 0:
+        return x
+    return None
 
 
-def _make_inf() -> ExtNat:
+def _new(v) -> ExtNat:
     x = object.__new__(ExtNat)
-    x._v = None
+    x._v = v
     return x
 
 
 #: The infinite element of ℕ ∪ {∞}.
-INF = _make_inf()
+INF = _new(_INF)
+
+#: Shared values for the small ints read most at the API.
+_SMALL = tuple(map(_new, range(256)))
+
+
+def _ext(v) -> ExtNat:
+    """The ``ExtNat`` of a stored value: ``INF`` for any float ∞, a shared one for small ints."""
+    try:
+        return _SMALL[v]
+    except TypeError:  # ∞, which sums and products give as a new float
+        return INF
+    except IndexError:
+        return _new(v)

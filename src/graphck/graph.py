@@ -14,13 +14,12 @@ enumerate infinite families.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import deque
 from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, NotFoundError, ValidationError
-from .extnat import INF, ExtNat
+from .extnat import _INF, ExtNat, _ext
 
 
 class EdgeRef(NamedTuple):
@@ -48,29 +47,9 @@ def _edge_fields(data) -> Sequence:
     return data
 
 
-#: ∞ as a multiplicity in a sparse row; finite multiplicities are plain ints.
-_INF = math.inf
-
-#: Shared ``ExtNat`` values for the multiplicities read most at the API.
-_SMALL = tuple(ExtNat(k) for k in range(256))
-
-
-def _ext(m) -> ExtNat:
-    """The ``ExtNat`` of a stored multiplicity."""
-    try:
-        return _SMALL[m]
-    except TypeError:  # the float _INF
-        return INF
-    except IndexError:
-        return ExtNat(m)
-
-
 def _raw(x):
     """The stored form of an int, an ``ExtNat`` or ``"inf"``; DomainError otherwise."""
-    if type(x) is int and x >= 0:
-        return x
-    x = ExtNat.of(x)
-    return _INF if x.is_infinite else int(x)
+    return x if type(x) is int and x >= 0 else ExtNat.of(x)._v
 
 
 def _vertex_names(vertices) -> tuple:
@@ -112,10 +91,10 @@ class Graph:
     """Immutable directed multigraph over a finite vertex list.
 
     Each row is stored sparsely: a dict from column position to
-    multiplicity holding only the nonzero entries, in column order, with
-    plain ints for finite multiplicities and ``_INF`` for ∞.  ``ExtNat``
-    values appear only at the API (``a``, ``row``, the degrees and the
-    dense ``adjacency`` view) and JSON boundary.
+    multiplicity holding only the nonzero entries, in column order.  A
+    multiplicity is stored as an ``ExtNat`` stores its value: a plain int,
+    or ``_INF`` for ∞.  The API (``a``, ``row``, the degrees and the dense
+    ``adjacency`` view) wraps it in an ``ExtNat``.
     """
 
     # ``_reach``, ``_emission``, ``_degrees``, ``_snf``, ``_report`` and
@@ -186,7 +165,7 @@ class Graph:
         return tuple(map(self._dense, self._rows))
 
     def _dense(self, row: dict) -> tuple:
-        out = [_SMALL[0]] * len(self.vertices)
+        out = [_ext(0)] * len(self.vertices)
         for j, m in row.items():
             out[j] = _ext(m)
         return tuple(out)
@@ -669,14 +648,17 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return backtrack(0)
 
 
-def fresh_names(base: str, count: int, taken: Iterable[str]) -> list:
-    """Deterministic names ``base^1 .. base^count`` avoiding ``taken``."""
-    taken = set(taken)
+def _fresh(names: Iterable[str], taken: set) -> list:
+    """Each name with ``'`` appended until it is not in ``taken``, which then takes it."""
     out = []
-    for i in range(1, count + 1):
-        name = f"{base}^{i}"
+    for name in names:
         while name in taken:
             name += "'"
         taken.add(name)
         out.append(name)
     return out
+
+
+def fresh_names(base: str, count: int, taken: Iterable[str]) -> list:
+    """Deterministic names ``base^1 .. base^count`` avoiding ``taken``."""
+    return _fresh([f"{base}^{i}" for i in range(1, count + 1)], set(taken))

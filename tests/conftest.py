@@ -3,9 +3,15 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# The same examples on every run, and no example database left behind;
+# a test's own ``@settings`` (max_examples, deadline) still applies on top.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 from graphck import Graph
 

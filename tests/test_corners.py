@@ -20,6 +20,7 @@ from graphck import (
     stabilize,
     unitize,
 )
+from graphck.graph import fresh_names
 
 
 class TestStabilize:
@@ -74,6 +75,37 @@ class TestCornerGraph:
         data["heads"]["typo"] = 3
         with pytest.raises(ValidationError, match="unknown vertices \\['typo'\\]"):
             CornerGraph.from_json(data)
+
+
+class TestCornerGraphHeads:
+    """Heads are coerced through ``ExtNat.of`` at construction and in ``_replace``."""
+
+    def test_int_head_becomes_extnat(self):
+        cg = CornerGraph(make_graph(["a"], [[1]]), (("a", 2),))
+        assert type(cg.head("a")) is ExtNat and cg.head("a") == 2
+        assert realize(cg).n == 3
+        assert cg.to_json()["heads"] == {"a": 2}
+        assert unitize(cg).a("⋆", "a") == 2
+
+    def test_inf_head_is_INF(self):
+        cg = CornerGraph(make_graph(["a"], [[1]]), (("a", "inf"),))
+        assert cg.head("a") is INF
+        assert unitize(cg).a("⋆", "a") is INF
+
+    @pytest.mark.parametrize("bad", [-3, 2.5, [1]], ids=repr)
+    def test_bad_head_rejected(self, bad):
+        g = make_graph(["a"], [[1]])
+        with pytest.raises(DomainError):
+            CornerGraph(g, (("a", bad),))
+        with pytest.raises(DomainError):
+            make_corner(g, {"a": bad})
+        with pytest.raises(DomainError):
+            stabilize(g)._replace(heads=(("a", bad),))
+
+    def test_replace_coerces(self):
+        cg = stabilize(make_graph(["a"], [[1]]))._replace(heads=(("a", 4),))
+        assert type(cg.head("a")) is ExtNat and cg.head("a") == 4
+        assert cg._replace(heads=(("a", "inf"),)).head("a") is INF
 
 
 class TestRealize:
@@ -189,3 +221,24 @@ class TestUnitize:
         spiked = build_EH(realize(cg), {"a"})
         spikes = [v for v in spiked.vertices if v != "a"]
         assert star.a("⋆", "a") == len(spikes)
+
+
+class TestFreshNames:
+    """Fresh names append ``'`` until free, in every place that makes one."""
+
+    def test_chain_names(self):
+        assert fresh_names("a", 2, {"a", "a^1"}) == ["a^1'", "a^2"]
+        assert fresh_names("a", 1, {"a^1", "a^1'"}) == ["a^1''"]
+
+    def test_star_avoids_base_names(self):
+        out = unitize(make_corner(make_graph(["⋆"], [[1]]), {"⋆": 2}))
+        assert out.vertices == ("⋆", "⋆'")
+        assert out.a("⋆'", "⋆") == 2
+        out = unitize(make_corner(make_graph(["⋆", "⋆'"], [[1, 0], [0, 1]]), {"⋆": 1, "⋆'": 0}))
+        assert out.vertices == ("⋆", "⋆'", "⋆''")
+
+    def test_spike_avoids_base_names(self):
+        g = make_graph(["a", "b", "e(b→a,0)"], [[1, 0, 0], [1, 0, 0], [0, 0, 0]])
+        out = build_EH(g, {"a", "e(b→a,0)"})
+        assert out.vertices == ("a", "e(b→a,0)", "e(b→a,0)'")
+        assert out.a("e(b→a,0)'", "a") == 1
