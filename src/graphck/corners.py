@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import CannotRealizeError, DomainError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import EdgeRef, Graph, _closure_mask, _fresh, _mask, fresh_names
+from .graph import Graph, _closure_mask, _fresh, _mask
 
 
 class _CornerGraphFields(NamedTuple):
@@ -31,13 +31,20 @@ class _CornerGraphFields(NamedTuple):
 class CornerGraph(_CornerGraphFields):
     """A base graph plus a head length h_v in ℕ₀ ∪ {∞} for every vertex.
 
-    Each head is coerced through ``ExtNat.of``, so an int or ``"inf"``
-    becomes an ``ExtNat`` and any other value raises ``DomainError``.
+    ``heads`` must be a list or tuple of ``(vertex, head)`` lists or
+    tuples, or ``ValidationError`` is raised.  Each head is coerced
+    through ``ExtNat.of``: an int or ``"inf"`` becomes an ``ExtNat`` and
+    any other value raises ``DomainError``.
     """
 
     __slots__ = ()
 
     def __new__(cls, base: Graph, heads: tuple):
+        pairs = isinstance(heads, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in heads
+        )
+        if not pairs:
+            raise ValidationError(f"heads must be a list of (vertex, head) pairs, got {heads!r}")
         heads = tuple((v, ExtNat.of(h)) for v, h in heads)
         if [v for v, _ in heads] != list(base.vertices):
             raise ValidationError("heads must cover exactly the base vertices, in order")
@@ -106,22 +113,20 @@ def corner_graph(g: Graph, multiplicities: dict) -> CornerGraph:
 
 
 def realize(cg: CornerGraph) -> Graph:
-    """Expand finite heads into explicit chain vertices v^i → v^(i-1) → ... → v."""
+    """Expand finite heads into explicit chain vertices v^i → v^(i-1) → ... → v.
+
+    The names v^1 .. v^h, in head order, are made fresh against the base and each other.
+    """
     if any(h.is_infinite for _, h in cg.heads):
         raise CannotRealizeError("infinite heads have no finite expansion")
     base = cg.base
-    taken = set(base.vertices)
-    vertices = list(base.vertices)
-    rows = list(base._rows)
+    wanted, rows = [], list(base._rows)
     for i, (v, h) in enumerate(cg.heads):
-        chain = fresh_names(v, int(h), taken)
-        taken.update(chain)
-        prev = i
-        for name in chain:
-            rows.append({prev: 1})
-            prev = len(vertices)
-            vertices.append(name)
-    return Graph._trusted(tuple(vertices), tuple(rows))
+        for k in range(1, h._v + 1):  # v^1 → v, and v^k → v^(k-1), the row just before
+            wanted.append(f"{v}^{k}")
+            rows.append({i if k == 1 else len(rows) - 1: 1})
+    names = _fresh(wanted, set(base.vertices))
+    return Graph._trusted(base.vertices + tuple(names), tuple(rows))
 
 
 def build_EH(g: Graph, H) -> Graph:
@@ -130,52 +135,45 @@ def build_EH(g: Graph, H) -> Graph:
     Requires: H hereditary; the subgraph outside H acyclic and made of
     regular vertices, each of which dominates H.  A finite acyclic
     complement bounds the length of entering paths.  Paths are enumerated
-    explicitly, so every vertex outside H must be a finite emitter.
+    explicitly, so every vertex outside H must be a finite emitter: one
+    depth-first walk over the rows outside H names each path as it
+    reaches H, the names e(u→w,i) of its edges joined by ``·``.
     """
     H = frozenset(H)
     h = _mask(g, H)
     if _closure_mask(g, h) != h:
         raise DomainError("H is not hereditary")
     reach = g._reachability().reach
-    comp = [v for v in g.vertices if v not in H]
-    for v in comp:
-        if not g.is_regular(v):
-            raise DomainError(f"vertex {v!r} outside H is not regular")
-        if not reach[g.index(v)] & h:
-            raise DomainError(f"vertex {v!r} outside H does not dominate H")
+    comp = [i for i in range(g.n) if not h >> i & 1]
+    regular, vs, rows = g._degs().regular, g.vertices, g._rows
+    for i in comp:
+        if not regular >> i & 1:
+            raise DomainError(f"vertex {vs[i]!r} outside H is not regular")
+        if not reach[i] & h:
+            raise DomainError(f"vertex {vs[i]!r} outside H does not dominate H")
     # H is hereditary, so a cycle through a vertex outside H never enters H:
     # the cycles of g through those vertices are those of the subgraph outside H
-    if any(reach[i] >> i & 1 for i in map(g.index, comp)):
+    if any(reach[i] >> i & 1 for i in comp):
         raise DomainError("the subgraph outside H has a cycle")
 
-    paths = _entering_paths(g, H, comp)
-    names = _fresh(
-        ["·".join(f"e({e.src}→{e.dst},{e.index})" for e in seq) for seq in paths],
-        set(g.vertices),
-    )
-
     core = g.induced(H)
-    rows = core._rows + tuple({core.index(seq[-1].dst): 1} for seq in paths)
-    return Graph._trusted(core.vertices + tuple(names), rows)
-
-
-def _entering_paths(g: Graph, H: frozenset, comp: list) -> list:
-    """All edge paths that stay outside H and then cross into it, in DFS order."""
-    out = []
-
-    def extend(prefix, at):
-        for w in g.successors(at):
-            count = g._mult(at, w)  # complement vertices are regular, entries finite
-            for i in range(count):
-                e = EdgeRef(at, w, i)
-                if w in H:
-                    out.append(prefix + [e])
-                else:
-                    extend(prefix + [e], w)
-
-    for start in comp:
-        extend([], start)
-    return out
+    names, spikes = [], []
+    todo = [("", i) for i in reversed(comp)]  # paths to extend: (name, end), next on top
+    while todo:
+        name, i = todo.pop()
+        if h >> i & 1:
+            names.append(name)
+            spikes.append({core._pos[vs[i]]: 1})
+            continue
+        prefix = name + "·" if name else ""
+        # entries outside H are finite: the vertex is regular
+        todo += [
+            (f"{prefix}e({vs[i]}→{vs[j]},{k})", j)
+            for j, m in reversed(rows[i].items())
+            for k in reversed(range(m))
+        ]
+    names = _fresh(names, set(vs))
+    return Graph._trusted(core.vertices + tuple(names), core._rows + tuple(spikes))
 
 
 def unitize(cg: CornerGraph) -> Graph:

@@ -74,13 +74,14 @@ class CoefficientSystem(NamedTuple):
                 v, edges, n = term
                 if not isinstance(edges, (list, tuple)):
                     raise ValidationError(f"term 'T' must be a list of edges, got {edges!r}")
-                edges = [e if type(e) is EdgeRef else EdgeRef(*_edge_fields(e)) for e in edges]
-                edges = tuple(sorted(edges))
-                if len(set(edges)) != len(edges):
-                    raise ValidationError(f"duplicate edge in T of {v!r}")
+                if edges:  # an empty T has nothing to coerce, sort or repeat
+                    edges = [e if type(e) is EdgeRef else EdgeRef(*_edge_fields(e)) for e in edges]
+                    edges.sort()
+                    if len(set(edges)) != len(edges):
+                        raise ValidationError(f"duplicate edge in T of {v!r}")
                 if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
                     raise ValidationError(f"multiplicity must be a positive int, got {n!r}")
-                key = (str(v), edges)
+                key = (v if type(v) is str else str(v), tuple(edges))
                 acc[key] = acc.get(key, 0) + n
             terms = tuple(sorted((v, t, n) for (v, t), n in acc.items()))
         except TypeError:

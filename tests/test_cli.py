@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -493,3 +495,59 @@ def test_undecodable_or_deep_json_is_one_error_line(tmp_path, capsys, argv, cont
     files = {"{f}": str(f), "{g}": write_graph(tmp_path, two_loops())}
     assert main([files.get(a, a) for a in argv]) == 1
     assert _one_error_line(capsys)
+
+
+# Arbitrary JSON for the corner layer's inputs: values that may or may not be
+# heads and multiplicities, keyed by the graph's vertices or by anything else.
+_CORNER_BASES = [two_loops().to_json(), inf_to_loop().to_json(), Graph([], []).to_json()]
+_values = st.one_of(
+    st.integers(-2, 4), st.sampled_from(["inf", "∞", "1", ""]), _scalars, json_trees
+)
+_vertex_keyed = st.one_of(
+    st.fixed_dictionaries({"a": _values}),
+    st.fixed_dictionaries({"v": _values, "w": _values}),
+    st.dictionaries(st.one_of(st.sampled_from(["a", "v", "w"]), _keys), _values),
+)
+_corner_files = st.one_of(
+    json_trees,
+    st.fixed_dictionaries(
+        {"base": st.one_of(st.sampled_from(_CORNER_BASES), json_trees)},
+        optional={"heads": st.one_of(_vertex_keyed, json_trees)},
+    ),
+)
+
+
+def _run_cli(argv) -> tuple:
+    """The exit code and standard error of ``main(argv)``; an escaping exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _clean_exit(code, err) -> bool:
+    if code == 0:
+        return err == ""
+    return code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mult=st.one_of(_vertex_keyed, json_trees), graph=st.sampled_from([two_loops, inf_to_loop]))
+@example(mult={"a": True}, graph=two_loops)
+@example(mult={"a": 2**70}, graph=two_loops)
+@example(mult={"v": "inf", "w": 0}, graph=inf_to_loop)
+def test_corner_multiplicities_exit_cleanly(tmp_path_factory, mult, graph):
+    gpath = write_graph(tmp_path_factory.mktemp("corner"), graph())
+    # one argument with "=": a separate value such as -1e+16 would read as an option
+    assert _clean_exit(*_run_cli(["corner", gpath, f"--multiplicities={json.dumps(mult)}"]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=_corner_files)
+@example(data={"base": _CORNER_BASES[0], "heads": {"a": 2**70}})
+@example(data={"base": _CORNER_BASES[1], "heads": {"v": "inf", "w": -1}})
+@example(data={"base": _CORNER_BASES[0], "heads": ["a", 1]})
+def test_unitize_corner_file_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("unitize") / "corner.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert _clean_exit(*_run_cli(["unitize", str(path)]))

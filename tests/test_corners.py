@@ -1,3 +1,7 @@
+import inspect
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from graphck import (
     CornerGraph,
     DomainError,
     ExtNat,
+    ValidationError,
     build_EH,
     corner_graph,
     k_groups,
@@ -102,6 +107,26 @@ class TestCornerGraphHeads:
         with pytest.raises(DomainError):
             stabilize(g)._replace(heads=(("a", bad),))
 
+    @pytest.mark.parametrize(
+        "heads",
+        [5, {"a": 1}, (("a",),), (("a", 1, 2),), ("a1",), (5,), (("a", 1), 5)],
+        ids=["int", "dict", "short-pair", "long-pair", "str-pair", "int-pair", "second-pair"],
+    )
+    def test_heads_not_pairs_rejected(self, heads):
+        g = make_graph(["a"], [[1]])
+        message = f"heads must be a list of (vertex, head) pairs, got {heads!r}"
+        pattern = f"^{re.escape(message)}$"
+        with pytest.raises(ValidationError, match=pattern):
+            CornerGraph(g, heads)
+        with pytest.raises(ValidationError, match=pattern):
+            CornerGraph._make((g, heads))
+        with pytest.raises(ValidationError, match=pattern):
+            stabilize(g)._replace(heads=heads)
+
+    def test_heads_as_lists_accepted(self):
+        cg = CornerGraph(make_graph(["a"], [[1]]), [["a", 2]])
+        assert cg.heads == (("a", ExtNat(2)),)
+
     def test_replace_coerces(self):
         cg = stabilize(make_graph(["a"], [[1]]))._replace(heads=(("a", 4),))
         assert type(cg.head("a")) is ExtNat and cg.head("a") == 4
@@ -117,6 +142,19 @@ class TestRealize:
         assert out.a("a^1", "a") == 1
         assert out.a("a^2", "a^1") == 1
         assert out.a("a^2", "a") == 0
+
+    def test_chain_names_avoid_base_names_across_chains(self):
+        base = make_graph(["a", "a^1"], [[1, 1], [0, 1]])
+        out = realize(make_corner(base, {"a": 2, "a^1": 2}))
+        assert out.vertices == ("a", "a^1", "a^1'", "a^2", "a^1^1", "a^1^2")
+        assert out.to_json()["adjacency"] == [
+            [1, 1, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 0],
+        ]
 
     def test_zero_heads_is_base(self):
         cg = make_corner(edge_to_sink(), {"a": 0, "b": 0})
@@ -185,6 +223,42 @@ class TestBuildEH:
         out = build_EH(g, {"h"})
         # entering paths: x→h, x→y→h, y→h
         assert out.n == 1 + 3
+
+    def test_spike_names_and_targets(self):
+        # x → y → h with two parallel y → h edges; spikes follow a depth-first walk
+        rows = [[0, 0, 1, 1], [0, 1, 0, 1], [0, 2, 0, 1], [0, 0, 0, 1]]
+        g = make_graph(["x", "h", "y", "k"], rows)
+        out = build_EH(g, {"h", "k"})
+        assert out.vertices == (
+            "h",
+            "k",
+            "e(x→y,0)·e(y→h,0)",
+            "e(x→y,0)·e(y→h,1)",
+            "e(x→y,0)·e(y→k,0)",
+            "e(x→k,0)",
+            "e(y→h,0)",
+            "e(y→h,1)",
+            "e(y→k,0)",
+        )
+        h, k = [1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert out.to_json()["adjacency"] == [[1, 1] + [0] * 7, k, h, h, k, k, h, h, k]
+
+    def test_long_complement_path_needs_no_recursion(self):
+        # x0 → x1 → ... → x299 → h: one entering path from each x_i, the longest 300 edges
+        n = 300
+        path = [f"x{i}" for i in range(n)] + ["h"]
+        rows = [[int(j == i + 1) for j in range(n + 1)] for i in range(n)] + [[0] * n + [1]]
+        g = make_graph(path, rows)
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)  # far less than the path length
+        try:
+            out = build_EH(g, {"h"})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out.n == 1 + n
+        assert out.vertices[1] == "·".join(f"e({u}→{w},0)" for u, w in zip(path, path[1:]))
+        assert out.vertices[-1] == f"e(x{n - 1}→h,0)"
 
 
 class TestUnitize:

@@ -115,6 +115,34 @@ class TestCoefficientSystem:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             CoefficientSystem.make(items)
 
+    @pytest.mark.parametrize("n", [True, 2.0, -1, 0], ids=repr)
+    def test_bad_multiplicity_message(self, n):
+        message = f"multiplicity must be a positive int, got {n!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sys_of(("v", [], n))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sys_of(("v", [("v", "w", 0)], n))
+
+    def test_duplicate_edge_message(self):
+        with pytest.raises(ValidationError, match="^duplicate edge in T of 'v'$"):
+            sys_of(("v", [("v", "w", 0), ("v", "w", 1), ("v", "w", 0)], 1))
+
+    def test_duplicate_edge_is_checked_before_multiplicity(self):
+        with pytest.raises(ValidationError, match="^duplicate edge in T of 'v'$"):
+            sys_of(("v", [("v", "w", 0), ("v", "w", 0)], 0))
+
+    def test_name_is_coerced_to_str(self):
+        assert sys_of((5, [], 1)).terms == (("5", (), 1),)
+        assert sys_of((5, [], 1), ("5", [], 2)).terms == (("5", (), 3),)
+
+    def test_terms_sorted_and_merged(self):
+        c = sys_of(
+            ("w", [], 1), ("v", [("v", "w", 1), ("v", "w", 0)], 2), ("v", [], 1), ("w", [], 4)
+        )
+        e0, e1 = EdgeRef("v", "w", 0), EdgeRef("v", "w", 1)
+        assert c.terms == (("v", (), 1), ("v", (e0, e1), 2), ("w", (), 5))
+        assert all(type(e) is EdgeRef for _, t, _ in c.terms for e in t)
+
     @pytest.mark.parametrize("index", [2.5, True])
     def test_non_int_edge_index_is_not_an_edge(self, index):
         g = make_graph(["b"], [["inf"]])
