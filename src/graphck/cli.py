@@ -3,7 +3,9 @@
 Subcommands: analyze, canonicalize, move, ideals, corner, unitize,
 ktheory, export-dot, verify.  Graphs travel as JSON files with ∞
 spelled "inf"; exit status is 1 for validation and domain errors and 2
-when the verification harness finds an invariant violation.
+when the verification harness finds an invariant violation.  Exit status 2
+also means a usage error, with ``usage: graphck`` on stderr; argparse reads a
+separate value such as ``-1e+16`` as an option, so write ``--multiplicities=-1e+16``.
 """
 
 from __future__ import annotations
@@ -77,25 +79,41 @@ def _indented(data, pad: str = "\n") -> str:
 
 
 def _lattice_text(lattice: IdealLattice) -> str:
-    """``_indented(lattice.to_json())``, with the order written straight from ``lattice.up``.
+    """``_indented(lattice.to_json())``, written from name texts and ``lattice.up``.
 
-    Pair (i, j) is row i's head ``[\\n      i,`` and column j's cell; a
-    row's cells are picked by its bit flags, so no pair list is built.
+    A node is its H's text, made once for each run of nodes sharing one H,
+    then its S's.  Pair (i, j) is row i's head ``[\\n      i,`` and column
+    j's cell.  No node lies below an earlier one, so row i's cells are picked
+    from column i on by the bit flags of ``row >> i``; no pair list is built.
     """
+    parts, h = ['{\n  "nodes": [\n    '], None
+    for p in lattice.nodes:
+        if p.h is not h:
+            h = p.h
+            head = '{\n      "H": ' + _names_text(h) + ',\n      "S": '
+        parts += head, _names_text(p.s), "\n    },\n    "
+    parts[-1] = '\n    }\n  ],\n  "order": [\n    '
     cells = [f"\n      {j}\n    ]" for j in range(len(lattice.nodes))]
-    rows = []
     for i, row in enumerate(lattice.up):
         head = f"[\n      {i},"
-        rows.append(head + (",\n    " + head).join(compress(cells, _flags(row))))
-    nodes = _indented([p.to_json() for p in lattice.nodes], "\n  ")
-    return '{\n  "nodes": ' + nodes + ',\n  "order": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}"
+        parts += head, (",\n    " + head).join(compress(cells[i:], _flags(row >> i))), ",\n    "
+    parts[-1] = "\n  ]\n}"
+    return "".join(parts)
+
+
+def _names_text(names) -> str:
+    """The sorted ``names`` as the indented JSON list of a lattice node's field."""
+    if not names:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(encode_basestring, sorted(names))) + "\n      ]"
 
 
 def _emit(data, out: str | None) -> None:
     text = data if isinstance(data, str) else _indented(data)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")  # not ``text + "\n"``: a lattice's text is large
     else:
         print(text)
 

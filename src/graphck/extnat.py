@@ -34,15 +34,18 @@ class ExtNat:
 
     __slots__ = ("_v",)
 
-    def __init__(self, value: int):
+    def __new__(cls, value: int):
         if isinstance(value, ExtNat):
-            self._v = value._v
-            return
+            return value  # so ``ExtNat(INF) is INF``, as ``of`` and pickling give
         if isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"not an extended natural: {value!r}")
         if value < 0:
             raise DomainError(f"extended naturals are nonnegative, got {value}")
-        self._v = value
+        return _SMALL[value] if value < 256 else _new(value)
+
+    def __init__(self, value: int):
+        """Nothing to set, as ``__new__`` returns a finished value; defined so that
+        wrapping it, as ``bench/spans.py`` does to count calls, keeps working."""
 
     @staticmethod
     def of(value) -> "ExtNat":

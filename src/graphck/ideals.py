@@ -12,7 +12,7 @@ algebra realizes a given pair's ideal up to stable isomorphism.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from json.encoder import encode_basestring
 from operator import and_
 from typing import NamedTuple
@@ -95,15 +95,13 @@ class IdealLattice(_IdealLatticeFields):
 
     def to_dot(self) -> str:
         lines = ["digraph ideals {", "  rankdir=BT;"]
-        quoted = _misread_names(self.nodes)
+        shown, h = _label_texts(self.nodes), None
         for i, p in enumerate(self.nodes):
-            h, s = sorted(p.h), sorted(p.s)
-            if quoted:
-                h, s = [quoted.get(v, v) for v in h], [quoted.get(v, v) for v in s]
-            h = ",".join(h) or "∅"
-            s = ",".join(s)
-            label = f"({{{h}}},{{{s}}})" if s else f"({{{h}}},∅)"
-            lines.append(f"  n{i} [label={_quoted(label)}];")
+            if p.h is not h:  # the pairs of one H come together and share one label head
+                h = p.h
+                head = '[label="({' + (",".join([shown[v] for v in sorted(h)]) or "∅") + "},"
+            s = ",".join([shown[v] for v in sorted(p.s)])
+            lines.append(f'  n{i} {head}{{{s}}})"];' if s else f'  n{i} {head}∅)"];')
         for i, j in self.hasse_edges():
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
@@ -123,8 +121,8 @@ _FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def _flags(mask: int) -> bytes:
     """One flag per bit of ``mask``, lowest first, for ``itertools.compress``.
 
-    Wide masks (the lattice rows) are scanned faster this way than by
-    ``graph._bits``, which stays the tool for masks over a graph's vertices.
+    A mask with more than a few bits set (a lattice row, a set H) is
+    scanned faster this way than by ``graph._bits``.
     """
     return bin(mask)[:1:-1].encode().translate(_FLAG_BYTES)
 
@@ -133,14 +131,12 @@ def _flags(mask: int) -> bytes:
 _LABEL_SYNTAX = frozenset(',{}()"\\')
 
 
-def _misread_names(nodes) -> dict:
-    """Names in ``nodes`` that could read as label syntax, each with its JSON-quoted form."""
+def _label_texts(nodes) -> dict:
+    """Each name in ``nodes`` as written in a DOT label: JSON-quoted when it
+    could read as label syntax, then escaped as ``_quoted`` escapes a label."""
     names = frozenset().union(*[p.h for p in nodes], *[p.s for p in nodes])
-    return {
-        v: encode_basestring(v)
-        for v in names
-        if v in ("", "∅") or not _LABEL_SYNTAX.isdisjoint(v)
-    }
+    misread = {v for v in names if v in ("", "∅") or not _LABEL_SYNTAX.isdisjoint(v)}
+    return {v: _quoted(encode_basestring(v) if v in misread else v)[1:-1] for v in names}
 
 
 def breaking_vertices(g: Graph, H) -> frozenset:
@@ -163,7 +159,14 @@ def _breaking_mask(g: Graph, h: int) -> int:
 
 
 def saturated_hereditary_sets(g: Graph, max_vertices: int = 16) -> list:
-    """All saturated hereditary subsets, by size and then in ``combinations`` order.
+    """All saturated hereditary subsets, by size and then in ``combinations`` order."""
+    found = _saturated_hereditary_masks(g, max_vertices)
+    found.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
+    return [_names(g, m) for m in found]
+
+
+def _saturated_hereditary_masks(g: Graph, max_vertices: int) -> list:
+    """The masks of all saturated hereditary subsets, in no fixed order.
 
     Only hereditary sets are visited: each undecided vertex in turn is
     either put in, with everything it reaches, or left out, with
@@ -188,38 +191,48 @@ def saturated_hereditary_sets(g: Graph, max_vertices: int = 16) -> list:
             stack.append((i + 1, inside | below[i], outside))
         elif _saturate_mask(g, inside) == inside:
             found.append(inside)
-    found.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
-    return [_names(g, m) for m in found]
+    return found
 
 
 def admissible_pairs(g: Graph, max_vertices: int = 16) -> IdealLattice:
-    """Enumerate every admissible pair and the containment order between them."""
-    n = g.n
-    entries = []  # (sort key, pair, key mask)
-    for H in saturated_hereditary_sets(g, max_vertices):
-        h, named = _mask(g, H), sorted(H)
-        breaking = sorted((g.vertices[i], 1 << i) for i in _bits(_breaking_mask(g, h)))
-        for k in range(len(breaking) + 1):
-            for combo in combinations(breaking, k):
-                s = [v for v, _ in combo]  # sorted, as ``breaking`` is
-                hs = h | sum(bit for _, bit in combo)
-                entries.append(((len(H), named, k, s), AdmissiblePair(H, frozenset(s)),
-                                h | hs << n))
-    entries.sort(key=lambda e: e[0])
-    nodes = tuple(e[1] for e in entries)
-    # a <= b iff H_a ⊆ H_b and H_a ∪ S_a ⊆ H_b ∪ S_b (S is disjoint from H):
-    # one subset test on both masks side by side.  Bit-sliced: ``has[b]``
-    # holds the nodes whose key has bit b, and the nodes above a are those
-    # in ``has[b]`` for every bit b of a's key.  A node is below only nodes
+    """Enumerate every admissible pair and the containment order between them.
+
+    Pairs come sorted by (len(H), sorted H, len(S), sorted S), and the pairs
+    of one H share one ``h`` frozenset.
+    """
+    names, n = g.vertices, g.n
+    groups = sorted(
+        (h.bit_count(), sorted(compress(names, _flags(h))), h)
+        for h in _saturated_hereditary_masks(g, max_vertices)
+    )
+    # a <= b iff H_a ⊆ H_b and S_a ⊆ H_b ∪ S_b.  Bit-sliced: ``in_h[v]`` and
+    # ``in_hs[v]`` hold the nodes whose H, and whose H ∪ S, has vertex v; the
+    # nodes above a are those in ``in_h`` of each vertex of H_a, one row per
+    # H, and in ``in_hs`` of each vertex of S_a.  A node is below only nodes
     # sorted after it, since a smaller H has fewer vertices and an equal H
-    # forces S_a ⊆ S_b; ``hasse_edges`` relies on this.
-    keys = [e[2] for e in entries]
-    # Transposed: column c of the fixed-width binary keys is bit 2n-1-c.
-    columns = zip(*[f"{key:0{2 * n}b}" for key in keys])
-    has = [int("".join(col)[::-1], 2) for col in columns][::-1]
-    everyone = (1 << len(keys)) - 1
-    up = tuple(reduce(and_, compress(has, _flags(key)), everyone) for key in keys)
-    return IdealLattice(nodes, up)
+    # forces S_a ⊆ S_b; ``hasse_edges`` and the CLI's text rely on this.
+    nodes, spans, in_h, in_hs = [], [], [0] * n, [0] * n
+    for _, named, h in groups:
+        H, start = frozenset(named), len(nodes)
+        breaking = sorted((names[i], i) for i in _bits(_breaking_mask(g, h)))
+        for s in _subsets(breaking):
+            for _, i in s:
+                in_hs[i] |= 1 << len(nodes)
+            nodes.append(AdmissiblePair(H, frozenset([v for v, _ in s])))
+        for v in compress(range(n), _flags(h)):
+            in_h[v] |= (1 << len(nodes)) - (1 << start)
+        spans.append((h, [i for _, i in breaking]))
+    in_hs = [a | b for a, b in zip(in_h, in_hs)]
+    up = []
+    for h, breaking in spans:
+        above = reduce(and_, compress(in_h, _flags(h)), (1 << len(nodes)) - 1)
+        up += [reduce(and_, s, above) for s in _subsets([in_hs[i] for i in breaking])]
+    return IdealLattice(tuple(nodes), tuple(up))
+
+
+def _subsets(items):
+    """Every subset of ``items`` as a tuple, by size and then in ``combinations`` order."""
+    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
 
 
 def restriction_graph(g: Graph, pair: AdmissiblePair) -> Graph:

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-# The same examples on every run, and no example database left behind;
-# a test's own ``@settings`` (max_examples, deadline) still applies on top.
+# Derandomized, and no example database left behind; a test's own
+# ``@settings`` (max_examples, deadline) still applies on top.  The examples
+# repeat from run to run of the same sources and the same test selection,
+# but not across source changes: Hypothesis mixes the literals of every
+# loaded non-test module (strings of 1-20 characters, ints outside
+# -99..99, finite floats) into its draws.  So a changed literal in
+# ``src/graphck``, or another library module loaded by other tests in the
+# same run (the package loads its modules lazily), can change a test's
+# examples.  Literals in test files, docstrings and f-strings do not count.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 

@@ -197,6 +197,17 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert _build_parser() is _build_parser()
 
 
+def test_option_value_spelling_decides_usage_error_or_error_line(tmp_path, capsys):
+    path = write_graph(tmp_path, two_loops())
+    # a separate value that looks like an option is a usage error, exit 2
+    assert _exit_code(["corner", path, "--multiplicities", "-1e+16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: graphck")
+    # the "=" spelling reaches the command, which rejects the value itself
+    assert main(["corner", path, "--multiplicities=-1e+16"]) == 1
+    assert _one_error_line(capsys, "--multiplicities must be a JSON object")
+
+
 def _run_module(*argv):
     path = [str(Path(graphck.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -551,3 +562,51 @@ def test_unitize_corner_file_exits_cleanly(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("unitize") / "corner.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert _clean_exit(*_run_cli(["unitize", str(path)]))
+
+
+# Arbitrary graph files for the read-only commands: any JSON at all, a
+# graph-shaped object whose fields may hold anything, or a square graph whose
+# names JSON escapes or reads as label syntax and whose entries are all
+# valid, or only mostly so.
+_names = st.one_of(st.sampled_from(['"', "\\", ",", "{", "(", "", "∅", "\x00", "é😀"]),
+                   st.text(max_size=3))
+_entries = st.sampled_from([0, 0, 0, 1, 2, "inf"])
+
+
+@st.composite
+def _square_graphs(draw, entries):
+    names = draw(st.lists(_names, max_size=6, unique=True))
+    return {"vertices": names, "adjacency": [[draw(entries) for _ in names] for _ in names]}
+
+
+_graph_files = st.one_of(
+    json_trees,
+    st.fixed_dictionaries(
+        {
+            "vertices": st.one_of(st.lists(st.one_of(_names, _keys), max_size=5), json_trees),
+            "adjacency": st.one_of(st.lists(st.lists(_cells, max_size=5), max_size=5), json_trees),
+        },
+        optional={"extra": json_trees},
+    ),
+    _square_graphs(_entries),
+    _square_graphs(st.one_of(_entries, _entries, _entries, _cells)),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=_graph_files, max_vertices=st.integers(-2, 8))
+@example(data={"vertices": ["a", "b"], "adjacency": [[0, "inf"], [0, 1]]}, max_vertices=1)
+@example(data={"vertices": ["a", "a"], "adjacency": [[0, 1], [0, 1]]}, max_vertices=2)
+@example(data={"vertices": ['"', ""], "adjacency": [[1, "inf"], [0, 2]]}, max_vertices=-1)
+def test_read_only_commands_exit_cleanly(tmp_path_factory, data, max_vertices):
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    g = str(path)
+    for argv in (
+        ["analyze", g],
+        ["ideals", g, f"--max-vertices={max_vertices}"],
+        ["ideals", g, "--format", "dot", f"--max-vertices={max_vertices}"],
+        ["ktheory", g],
+        ["export-dot", g],
+    ):
+        assert _clean_exit(*_run_cli(argv)), argv

@@ -234,6 +234,19 @@ def test_infinite_results_are_INF(x):
         assert INF * x is INF and x * INF is INF
 
 
+@pytest.mark.parametrize("x", [ExtNat(0), ExtNat(3), ExtNat(300), ExtNat(10**6), INF], ids=repr)
+def test_constructor_returns_an_extnat_itself(x):
+    assert ExtNat(x) is x and ExtNat.of(x) is x
+    assert ExtNat(INF) is INF and ExtNat(ExtNat(INF)) is INF
+
+
+def test_constructor_messages_are_unchanged():
+    with pytest.raises(DomainError, match=r"^not an extended natural: 2\.5$"):
+        ExtNat(2.5)
+    with pytest.raises(DomainError, match=r"^extended naturals are nonnegative, got -3$"):
+        ExtNat(-3)
+
+
 def test_decrement_and_json_give_INF():
     assert ExtNat.of("inf") is INF and INF.dec() is INF and INF.dec().dec() is INF
 

@@ -1,11 +1,13 @@
 import contextlib
 import hashlib
 import io
+import json
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import graphs
@@ -312,3 +314,33 @@ def test_lattice_text_cases_are_what_they_claim():
     escaped = admissible_pairs(_escaped_names())
     assert any(p.s for p in escaped.nodes)
     assert '\\"' in _emitted(escaped.to_json())  # the quote in v"\\ is escaped
+
+
+# Names that JSON escapes, that read as label syntax, or that sort unlike
+# their vertex positions: the lattice's writers must not depend on any of it.
+AWKWARD_NAMES = ['"', "\\", ",", "{", "(", "", '""', "∅", "\x00", "\x1f\n", "é", "😀", "a", "b"]
+
+
+@st.composite
+def awkward_graphs(draw):
+    names = draw(st.lists(st.sampled_from(AWKWARD_NAMES) | st.text(max_size=2),
+                          max_size=6, unique=True))
+    entries = st.sampled_from([0, 0, 0, 1, 2, "inf"])
+    return make_graph(names, [[draw(entries) for _ in names] for _ in names])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(g=awkward_graphs())
+@example(g=_escaped_names())
+def test_lattice_against_definitions(g):
+    lattice = admissible_pairs(g)
+    nodes = lattice.nodes
+    assert cli._lattice_text(lattice) == json.dumps(lattice.to_json(), indent=2, ensure_ascii=False)
+    assert list(lattice.up) == [
+        sum(1 << j for j, b in enumerate(nodes) if a.h <= b.h and a.s <= b.h | b.s)
+        for a in nodes
+    ]
+    assert len(nodes) == oracles.oracle_admissible_pair_count(g)
+    keys = [(len(p.h), sorted(p.h), len(p.s), sorted(p.s)) for p in nodes]
+    assert keys == sorted(keys)
+    assert lattice.hasse_edges() == _brute_force_covers(lattice)
