@@ -28,10 +28,10 @@ from .graph import (
     _cycle_mates,
     _first,
     _reached_by,
-    shortest_nonzero_path,
+    _shortest_path,
     simple_cycle_count_at,
 )
-from .moves import _breaks, _exhaust, _remove_sources, apply_move
+from .moves import MoveRecord, _breaks, _column_add, _dispatch, _exhaust, _move_T, _remove_sources
 
 
 class StablyCompleteReport(NamedTuple):
@@ -53,7 +53,7 @@ def is_stably_complete(g: Graph) -> StablyCompleteReport:
     Computed on first use and kept with the graph, which is immutable.
     """
     if g._report is None:
-        violations = [(2, (v,)) for v in g.vertices if _lacks_loop(g, v)]
+        violations = [(2, (v,)) for i, v in enumerate(g.vertices) if _lacks_loop(g, i)]
         violations += [(3, (v,)) for v in g.vertices if _needs_second_loop(g, v)]
         reach, inf = g._reachability().reach, g._emitting()
         for i, v in enumerate(g.vertices):
@@ -65,9 +65,9 @@ def is_stably_complete(g: Graph) -> StablyCompleteReport:
     return g._report
 
 
-def _lacks_loop(g: Graph, v: str) -> bool:
-    """Condition 2 fails at ``v``: a regular vertex without a loop."""
-    return g.is_regular(v) and not g.supports_loop(v)
+def _lacks_loop(g: Graph, i: int) -> bool:
+    """Condition 2 fails at position ``i``: a regular vertex without a loop."""
+    return bool(g._degs().regular >> i & 1) and i not in g._rows[i]
 
 
 def _needs_second_loop(g: Graph, v: str) -> bool:
@@ -100,9 +100,10 @@ class _Pipeline:
         self.graph = g
         self.trace = []
 
-    def do(self, kind: str, params: dict) -> None:
-        self.graph, rec = apply_move(self.graph, kind, params)
-        self.trace.append(rec)
+    def record(self, kind: str, params: dict, out: Graph) -> None:
+        """Continue from ``out``, which the move ``kind`` with ``params`` made of the graph."""
+        self.trace.append(MoveRecord._of(kind, params, self.graph, out))
+        self.graph = out
 
     def extend(self, result: tuple) -> None:
         """Continue from the (graph, records) of a run of moves."""
@@ -123,13 +124,14 @@ def canonicalize(g: Graph) -> tuple:
     pipe = _Pipeline(g)
 
     # 1: every edge of an infinite emitter should have infinitely many parallels
-    pipe.extend(_exhaust(pipe.graph, "BREAKSPLIT", lambda g, v: _breaks(g, g.index(v))))
+    pipe.extend(_exhaust(pipe.graph, "BREAKSPLIT", _breaks))
 
     # 2: infinite emitters emit (infinitely) to everything they dominate
-    cur = pipe.graph  # T moves keep reachability, so cur's answers hold throughout
+    cur = pipe.graph  # T moves keep the vertices and reachability: cur's answers hold throughout
     for i, v in enumerate(cur.vertices):
         for j in _bits(cur._reachability().reach[i]) if cur.is_infinite_emitter(v) else ():
-            pipe.do("T", {"path": shortest_nonzero_path(pipe.graph, v, cur.vertices[j])})
+            path = _shortest_path(pipe.graph._rows, i, j)
+            pipe.record("T", {"path": [cur.vertices[k] for k in path]}, _move_T(pipe.graph, path))
 
     # 3: no regular sources
     pipe.extend(_remove_sources(pipe.graph))
@@ -142,8 +144,9 @@ def canonicalize(g: Graph) -> tuple:
     for _ in range(rounds):
         for v in list(pipe.graph.vertices):
             if _lacks_companion(pipe.graph, v):
-                pipe.do("O", {"vertex": v, "classes": _companion_partition(pipe.graph, v)})
-        _repair(pipe, _missing_edges, lambda g, pair: shortest_nonzero_path(g, *pair))
+                params = {"vertex": v, "classes": _companion_partition(pipe.graph, v)}
+                pipe.record("O", params, _dispatch(pipe.graph, "O", params))
+        _repair(pipe, _missing_edges, lambda g, pair: _shortest_path(g._rows, *map(g.index, pair)))
         _repair(pipe, lambda g: (v for v in g.vertices if _needs_second_loop(g, v)), _short_cycle)
         if is_stably_complete(pipe.graph).satisfied:
             return pipe.graph, pipe.trace
@@ -166,8 +169,8 @@ def _repair(pipe: _Pipeline, defects, closing_path) -> None:
     """Apply ``COLADD`` along a path closing the first defect until none is left.
 
     ``defects(g)`` yields the defects of ``g`` in order, and
-    ``closing_path(g, defect)`` gives the path whose column adds close
-    one.  A defect may come back after later repairs; each gets at most
+    ``closing_path(g, defect)`` gives the path, as positions, whose column
+    adds close one.  A defect may come back after later repairs; each gets at most
     |V|² attempts, counting the vertices of the graph the repair starts on.
     """
     budget = max(1, pipe.graph.n ** 2)
@@ -177,17 +180,18 @@ def _repair(pipe: _Pipeline, defects, closing_path) -> None:
         if attempts[defect] > budget:
             raise InternalError(f"column operations did not repair {defect!r}")
         path = closing_path(pipe.graph, defect)
+        vs = pipe.graph.vertices  # column adds keep the vertices
         for a, b in zip(path[1:], path[2:]):
-            pipe.do("COLADD", {"source": a, "target": b})
+            pipe.record("COLADD", {"source": vs[a], "target": vs[b]}, _column_add(pipe.graph, a, b))
 
 
 def _short_cycle(g: Graph, v: str) -> list:
-    """Shortest interior-simple cycle of length >= 2 based at ``v``."""
+    """Shortest interior-simple cycle of length >= 2 based at ``v``, as positions."""
     best = None
     i = g.index(v)
     # the successors of v, other than v itself, that have a path back to v
     for j in _bits(g._reachability().succ[i] & _reached_by(g, i) & ~(1 << i)):
-        candidate = [v] + shortest_nonzero_path(g, g.vertices[j], v)
+        candidate = [i] + _shortest_path(g._rows, j, i)
         interior = candidate[:-1]
         if len(set(interior)) != len(interior):
             continue

@@ -515,13 +515,30 @@ def shortest_nonzero_path(g: Graph, v: str, w: str) -> list:
     first such successor, and below it the first found.  Raises
     :class:`NotFoundError` when ``v`` does not dominate ``w``.
     """
-    i, j = g.index(v), g.index(w)
-    rows = g._rows
-    prev = dict.fromkeys(rows[i])
+    path = _shortest_path(g._rows, g.index(v), g.index(w))
+    if path is None:
+        raise NotFoundError(f"{v!r} does not dominate {w!r}")
+    return [g.vertices[k] for k in path]
+
+
+def _shortest_path(rows, i: int, j: int):
+    """:func:`shortest_nonzero_path` on positions; None when ``i`` does not dominate ``j``.
+
+    The search's first layer is checked before a queue is built.  It gives the
+    same path: an edge i → j, else the first successor of i in column order
+    that has an edge to j.
+    """
+    first = rows[i]
+    if j in first:
+        return [i, j]
+    for x in first:
+        if j in rows[x]:
+            return [i, x, j]
+    prev = dict.fromkeys(first)
     queue = deque(prev)
     while j not in prev:
         if not queue:
-            raise NotFoundError(f"{v!r} does not dominate {w!r}")
+            return None
         x = queue.popleft()
         for y in rows[x]:
             if y not in prev:
@@ -531,7 +548,7 @@ def shortest_nonzero_path(g: Graph, v: str, w: str) -> list:
     while prev[path[-1]] is not None:
         path.append(prev[path[-1]])
     path.append(i)
-    return [g.vertices[k] for k in reversed(path)]
+    return path[::-1]
 
 
 def hereditary_closure(g: Graph, S: Iterable[str]) -> frozenset:

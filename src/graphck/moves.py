@@ -172,13 +172,18 @@ def _split(g: Graph, pos: int, class_rows: list) -> Graph:
 
 def collapse(g: Graph, u: str) -> Graph:
     """Remove a loopless regular non-source ``u``, composing edges through it."""
-    if not g.is_regular(u):
+    return _collapse(g, g.index(u))
+
+
+def _collapse(g: Graph, pos: int) -> Graph:
+    """:func:`collapse` of the vertex at ``pos``, with every check."""
+    u, degs = g.vertices[pos], g._degs()
+    if not degs.regular >> pos & 1:
         raise MoveError(f"{u!r} is not regular")
-    if g.supports_loop(u):
+    if pos in g._rows[pos]:
         raise MoveError(f"{u!r} supports a loop")
-    if g.is_source(u):
+    if pos not in degs.receiving:
         raise MoveError(f"{u!r} is a source")
-    pos = g.index(u)
     through = g._rows[pos]
     rows = []
     for i, row in enumerate(g._rows):
@@ -209,18 +214,23 @@ def move_T(g: Graph, path) -> Graph:
     itself is returned; otherwise the output is built from the rows alone.
     """
     path = list(path)
-    if len(path) < 2:
+    if len(path) < 2:  # before the names are looked up
         raise MoveError("path must have length at least one")
-    at = [g.index(v) for v in path]
-    for k in range(len(at) - 1):
-        if at[k + 1] not in g._rows[at[k]]:
-            raise MoveError(f"no edge from {path[k]!r} to {path[k + 1]!r} along the path")
+    return _move_T(g, [g.index(v) for v in path])
+
+
+def _move_T(g: Graph, at: list) -> Graph:
+    """:func:`move_T` along the positions ``at``, at least two, with every other check."""
+    rows = g._rows
+    for a, b in zip(at, at[1:]):
+        if b not in rows[a]:
+            raise MoveError(f"no edge from {g.vertices[a]!r} to {g.vertices[b]!r} along the path")
     i, j = at[0], at[-1]
-    if g._rows[i][at[1]] != _INF:
+    if rows[i][at[1]] != _INF:
         raise MoveError("the first edge of the path must have infinitely many parallels")
-    if g._rows[i].get(j) == _INF:
+    if rows[i].get(j) == _INF:
         return g
-    rows = list(g._rows)
+    rows = list(rows)
     rows[i] = _with(rows[i], j, _INF)
     return Graph._trusted(g.vertices, tuple(rows), g._pos)
 
@@ -241,12 +251,17 @@ def column_add(g: Graph, u: str, v: str) -> Graph:
     reachability, if the input has built it, unless the entry u → v
     drops to 0.
     """
-    if u == v:
+    if u == v:  # before the names are looked up
         raise MoveError("column operation needs distinct vertices")
-    iu, j = g.index(u), g.index(v)
+    return _column_add(g, g.index(u), g.index(v))
+
+
+def _column_add(g: Graph, iu: int, j: int) -> Graph:
+    """:func:`column_add` of the distinct positions ``iu`` and ``j``, with every other check."""
     old_rows = g._rows
+    u = g.vertices[iu]
     if j not in old_rows[iu]:
-        raise MoveError(f"no edge from {u!r} to {v!r}")
+        raise MoveError(f"no edge from {u!r} to {g.vertices[j]!r}")
     if not any(iu in row for row in old_rows):
         raise MoveError(f"{u!r} is a source; the move cannot be realized")
     if sum(old_rows[iu].values()) <= 1:
@@ -298,9 +313,13 @@ def split_breaking(g: Graph, u: str) -> Graph:
     many others and is then a finite emitter.  When every edge of ``u``
     has infinitely many parallels the graph is returned unchanged.
     """
-    if not g.is_infinite_emitter(u):
-        raise MoveError(f"{u!r} is not an infinite emitter")
-    i = g.index(u)
+    return _split_breaking(g, g.index(u))
+
+
+def _split_breaking(g: Graph, i: int) -> Graph:
+    """:func:`split_breaking` of the vertex at ``i``, with every check."""
+    if g._degs().out[i] != _INF:
+        raise MoveError(f"{g.vertices[i]!r} is not an infinite emitter")
     if not _breaks(g, i):
         return g
     row = g._rows[i]
@@ -324,10 +343,10 @@ class MoveRecord:
     """A replayable record of one applied move.
 
     ``MoveRecord(kind, params, input_hash, output_hash)`` takes the two
-    graphs' hex digests.  A record made by :func:`apply_move` holds the
-    graphs instead, hashes both on the first read of either hash (each
-    graph's own cached :meth:`Graph.digest`) and then drops them; its
-    fields read the same.  Records are immutable and compare by their
+    graphs' hex digests.  A record made by :func:`apply_move` or by
+    ``canonicalize`` holds the graphs instead, hashes both on the first
+    read of either hash (each graph's own cached :meth:`Graph.digest`) and
+    then drops them; its fields read the same.  Records are immutable and compare by their
     four fields.  A record hashes its fields, so ``hash`` raises
     ``TypeError`` while ``params`` is a dict, and assigning to or deleting
     an attribute raises ``AttributeError``.
@@ -433,14 +452,24 @@ _PARAMS = {
 MOVE_KINDS = tuple(_PARAMS)
 
 
+def _regular_source(g: Graph, i: int) -> bool:
+    """Whether the vertex at ``i`` is regular and receives no edge."""
+    degs = g._degs()
+    return bool(degs.regular >> i & 1) and i not in degs.receiving
+
+
+def _remove_source(g: Graph, i: int) -> Graph:
+    """The ``S`` move: delete the regular source at position ``i``."""
+    if not _regular_source(g, i):
+        raise MoveError(f"{g.vertices[i]!r} is not a regular source")
+    return g.induced(g.vertices[:i] + g.vertices[i + 1 :])
+
+
 def _dispatch(g: Graph, kind: str, params: dict) -> Graph:
     if kind == "O":
         return out_split(g, params["vertex"], Partition.from_json(params["classes"]))
     if kind == "S":
-        v = params["vertex"]
-        if not (g.is_regular(v) and g.is_source(v)):
-            raise MoveError(f"{v!r} is not a regular source")
-        return g.induced(w for w in g.vertices if w != v)
+        return _remove_source(g, g.index(params["vertex"]))
     if kind == "T":
         return move_T(g, params["path"])
     if kind == "COLLAPSE":
@@ -452,6 +481,10 @@ def _dispatch(g: Graph, kind: str, params: dict) -> Graph:
     raise ValidationError(f"unknown move kind {kind!r}")
 
 
+#: The bodies of the moves at one vertex, by kind: each takes the vertex's position.
+_AT_VERTEX = {"S": _remove_source, "COLLAPSE": _collapse, "BREAKSPLIT": _split_breaking}
+
+
 def apply_move(g: Graph, kind: str, params: dict) -> tuple:
     """Apply a move by name, returning the new graph and its record."""
     out = _dispatch(g, kind, params)
@@ -459,14 +492,24 @@ def apply_move(g: Graph, kind: str, params: dict) -> tuple:
 
 
 def _exhaust(g: Graph, kind: str, bad) -> tuple:
-    """Apply ``kind`` at the first vertex where ``bad(g, v)`` holds until none is left.
+    """Apply the move ``kind`` at the first position where ``bad(g, i)`` holds until none is left.
 
-    Returns the graph and the move records.
+    Returns the graph and the move records.  After a move at position k the
+    scan resumes where a vertex can have turned bad:
+
+    * at k after ``BREAKSPLIT`` or ``COLLAPSE``.  A split copies each earlier
+      row's entry at k into the duplicated column, so no earlier row gains an
+      ∞ or a finite entry it lacked, and its two new vertices never break.  A
+      collapse keeps every earlier vertex's kind and its loops, which only grow.
+    * at 0 after ``S``: removing a source can take the last edge into an
+      earlier vertex.
     """
-    records = []
-    while (v := next((v for v in g.vertices if bad(g, v)), None)) is not None:
-        g, rec = apply_move(g, kind, {"vertex": v})
-        records.append(rec)
+    body = _AT_VERTEX[kind]
+    records, start = [], 0
+    while (k := next((i for i in range(start, g.n) if bad(g, i)), None)) is not None:
+        out = body(g, k)
+        records.append(MoveRecord._of(kind, {"vertex": g.vertices[k]}, g, out))
+        g, start = out, 0 if kind == "S" else k
     return g, records
 
 
@@ -476,7 +519,7 @@ def _remove_sources(g: Graph) -> tuple:
     Removing a source changes no other vertex's out-degree, so the graph
     reached does not depend on the order of removal.
     """
-    return _exhaust(g, "S", lambda g, v: g.is_regular(v) and g.is_source(v))
+    return _exhaust(g, "S", _regular_source)
 
 
 def replay(g: Graph, record: MoveRecord) -> Graph:

@@ -33,6 +33,7 @@ from graphck import (
 )
 from graphck.canonical import _Pipeline, _repair, _short_cycle
 from graphck.corpus import random_graph
+from graphck.moves import MOVE_KINDS
 
 
 class TestIsStablyComplete:
@@ -243,6 +244,39 @@ def test_pinned_inputs_build_few_reachability_closures(monkeypatch):
     for p in pinned:
         canonicalize(Graph.from_json(p["graph"]))
     assert len(built) <= 103
+
+
+def test_pinned_inputs_search_few_paths_past_the_first_layer(monkeypatch):
+    """A path of length one or two is read off the rows; only a longer search
+    builds a queue, 23 times on the pinned slowest inputs."""
+    pinned = json.loads(WORST_INPUTS.read_text(encoding="utf-8"))["inputs"]
+    queues = []
+    deque = graph_module.deque
+
+    def counted(*args):
+        queues.append(args)
+        return deque(*args)
+
+    monkeypatch.setattr(graph_module, "deque", counted)
+    for p in pinned:
+        canonicalize(Graph.from_json(p["graph"]))
+    assert len(queues) <= 23
+
+
+def test_every_trace_record_replays():
+    """Each record of the golden draws and the pinned inputs replays onto the
+    graph before it and gives the graph after it."""
+    pinned = json.loads(WORST_INPUTS.read_text(encoding="utf-8"))["inputs"]
+    inputs = [random_graph(random.Random(s), max_vertices=6) for s in range(400)]
+    inputs += [Graph.from_json(p["graph"]) for p in pinned]
+    kinds = set()
+    for g in inputs:
+        out, trace = canonicalize(g)
+        for rec in trace:
+            g = replay(g, rec)
+            kinds.add(rec.kind)
+        assert g == out
+    assert kinds == set(MOVE_KINDS)
 
 
 def test_repair_stops_at_the_fuel_bound():

@@ -574,8 +574,8 @@ _entries = st.sampled_from([0, 0, 0, 1, 2, "inf"])
 
 
 @st.composite
-def _square_graphs(draw, entries):
-    names = draw(st.lists(_names, max_size=6, unique=True))
+def _square_graphs(draw, entries, min_size=0):
+    names = draw(st.lists(_names, min_size=min_size, max_size=6, unique=True))
     return {"vertices": names, "adjacency": [[draw(entries) for _ in names] for _ in names]}
 
 
@@ -610,3 +610,66 @@ def test_read_only_commands_exit_cleanly(tmp_path_factory, data, max_vertices):
         ["export-dot", g],
     ):
         assert _clean_exit(*_run_cli(argv)), argv
+
+
+#: Each ``move`` op with the options it needs.
+_MOVE_OPS = {
+    "out-split": ("vertex", "partition"),
+    "collapse": ("vertex",),
+    "remove-sources": (),
+    "move-t": ("path",),
+    "column-add": ("source", "target"),
+    "split-breaking": ("vertex",),
+}
+
+
+@st.composite
+def _move_calls(draw):
+    """A square graph with awkward names, and ``move`` options drawn mostly from those names.
+
+    An op gets the options it needs, and each other one half the time.
+    """
+    graph = draw(_square_graphs(_entries, min_size=2))
+    name = st.one_of(st.sampled_from(graph["vertices"]), _names)
+    vertex = draw(name)
+    edge = st.tuples(st.one_of(st.just(vertex), name), name, st.integers(-1, 3)).map(list)
+    classes = st.lists(st.one_of(st.just("rest"), st.lists(edge, max_size=3)), max_size=3)
+    values = {
+        "vertex": st.just(vertex),
+        "path": st.lists(name, max_size=4).map(",".join),
+        "source": name,
+        "target": name,
+        "partition": st.one_of(st.just(["rest"]), classes, json_trees).map(json.dumps),
+    }
+    op = draw(st.sampled_from(sorted(_MOVE_OPS)))
+    # each option as one argument with "=", so that a value such as "-" is not read as an option
+    options = [
+        f"--{k}={draw(v)}" for k, v in values.items() if k in _MOVE_OPS[op] or draw(st.booleans())
+    ]
+    return graph, [f"--op={op}", *options]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(call=_move_calls())
+@example(call=({"vertices": ["a,b", "c"], "adjacency": [["inf", 1], [0, 1]]},
+               ["--op=move-t", "--path=a,b,c"]))
+@example(call=({"vertices": ["-", "é"], "adjacency": [[0, "inf"], [1, 0]]},
+               ["--op=column-add", "--source=é", "--target=-"]))
+@example(call=({"vertices": ['"', ""], "adjacency": [[1, 1], [0, 2]]},
+               ["--op=remove-sources"]))
+@example(call=({"vertices": ["a"], "adjacency": [[1]]}, ["--op=out-split", "--vertex=a"]))
+@example(call=({"vertices": ["v", "w", "x"], "adjacency": [[0, "inf", 0], [0, 0, 1], [0, 0, 0]]},
+               ["--op=move-t", "--path=v,w,x"]))
+def test_move_exits_cleanly_and_its_trace_replays(tmp_path_factory, call):
+    graph, options = call
+    tmp = tmp_path_factory.mktemp("move")
+    gpath, out, trace = tmp / "g.json", tmp / "out.json", tmp / "trace.json"
+    gpath.write_text(json.dumps(graph), encoding="utf-8")
+    argv = ["move", str(gpath), *options, f"--out={out}", f"--trace={trace}"]
+    code, err = _run_cli(argv)
+    assert _clean_exit(code, err), argv
+    if code == 0:
+        cur = Graph.from_json(graph)
+        for data in json.loads(trace.read_text(encoding="utf-8")):
+            cur = replay(cur, MoveRecord.from_json(data))
+        assert cur.to_json() == json.loads(out.read_text(encoding="utf-8"))

@@ -15,6 +15,7 @@ from graphck import (
     INF,
     EdgeRef,
     Graph,
+    GraphCKError,
     MoveError,
     MoveRecord,
     NotFoundError,
@@ -636,3 +637,78 @@ def test_move_record_kind_and_hashes_must_be_strings(field, value):
     message = f"bad move record: '{field}' must be a string, got {re.escape(repr(value))}"
     with pytest.raises(ValidationError, match=message):
         MoveRecord.from_json(data)
+
+
+def _precondition_graph():
+    """One vertex of each kind a move precondition tells apart.
+
+    e: a looped infinite emitter with one finite edge;  r: regular and looped;
+    q: a regular source of out-degree one;  s: a sink;  f: a pure infinite
+    emitter and a source;  c: regular, loopless, out-degree one, not a source;
+    z: a sink and a source.
+    """
+    return make_graph(
+        ["e", "r", "q", "s", "f", "c", "z"],
+        [
+            ["inf", 1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 1, 0, 1, 0],
+            [0, 1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, "inf", 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0],
+        ],
+    )
+
+
+_UNKNOWN = (NotFoundError, "no vertex named 'x'")
+
+
+@pytest.mark.parametrize(
+    "kind, params, error",
+    [
+        ("T", {"path": []}, (MoveError, "path must have length at least one")),
+        # the length is checked before the names are looked up
+        ("T", {"path": ["x"]}, (MoveError, "path must have length at least one")),
+        ("T", {"path": ["x", "y"]}, _UNKNOWN),
+        # every name is looked up before any edge is checked
+        ("T", {"path": ["q", "s", "x"]}, _UNKNOWN),
+        ("T", {"path": ["q", "s"]}, (MoveError, "no edge from 'q' to 's' along the path")),
+        # every edge is checked before the first edge's multiplicity
+        ("T", {"path": ["q", "r", "q"]}, (MoveError, "no edge from 'r' to 'q' along the path")),
+        ("T", {"path": ["q", "r", "c"]},
+         (MoveError, "the first edge of the path must have infinitely many parallels")),
+        # distinctness is checked before the names are looked up
+        ("COLADD", {"source": "x", "target": "x"},
+         (MoveError, "column operation needs distinct vertices")),
+        ("COLADD", {"source": "r", "target": "r"},
+         (MoveError, "column operation needs distinct vertices")),
+        ("COLADD", {"source": "x", "target": "q"}, _UNKNOWN),
+        ("COLADD", {"source": "q", "target": "x"}, _UNKNOWN),
+        ("COLADD", {"source": "q", "target": "s"}, (MoveError, "no edge from 'q' to 's'")),
+        ("COLADD", {"source": "q", "target": "r"},
+         (MoveError, "'q' is a source; the move cannot be realized")),
+        ("COLADD", {"source": "c", "target": "s"},
+         (MoveError, "'c' has out-degree one; the move cannot be realized")),
+        ("COLLAPSE", {"vertex": "x"}, _UNKNOWN),
+        ("COLLAPSE", {"vertex": "e"}, (MoveError, "'e' is not regular")),
+        ("COLLAPSE", {"vertex": "f"}, (MoveError, "'f' is not regular")),
+        ("COLLAPSE", {"vertex": "z"}, (MoveError, "'z' is not regular")),
+        ("COLLAPSE", {"vertex": "r"}, (MoveError, "'r' supports a loop")),
+        ("COLLAPSE", {"vertex": "q"}, (MoveError, "'q' is a source")),
+        ("BREAKSPLIT", {"vertex": "x"}, _UNKNOWN),
+        ("BREAKSPLIT", {"vertex": "r"}, (MoveError, "'r' is not an infinite emitter")),
+        ("BREAKSPLIT", {"vertex": "s"}, (MoveError, "'s' is not an infinite emitter")),
+        ("S", {"vertex": "x"}, _UNKNOWN),
+        ("S", {"vertex": "r"}, (MoveError, "'r' is not a regular source")),
+        ("S", {"vertex": "f"}, (MoveError, "'f' is not a regular source")),
+        ("S", {"vertex": "z"}, (MoveError, "'z' is not a regular source")),
+        ("Z", {"vertex": "x"}, (ValidationError, "unknown move kind 'Z'")),
+        (["S"], {"vertex": "x"}, (ValidationError, "unknown move kind ['S']")),
+    ],
+)
+def test_move_preconditions_raise_in_order(kind, params, error):
+    """Each failed precondition raises its own error, and the first one checked wins."""
+    with pytest.raises(GraphCKError) as exc:
+        apply_move(_precondition_graph(), kind, params)
+    assert (type(exc.value), str(exc.value)) == error
