@@ -30,7 +30,7 @@ _HOMES = {
     "extnat": ("INF", "ExtNat"),
     "graph": (
         "EdgeRef", "Graph", "VertexClass", "condition_K", "dominates", "hereditary_closure",
-        "is_hereditary", "is_isomorphic", "is_saturated", "make_graph", "reaches", "saturate",
+        "is_hereditary", "is_saturated", "make_graph", "reaches", "saturate",
         "simple_cycle_count_at", "vertex_class",
     ),
     "ideals": (

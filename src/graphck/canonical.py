@@ -192,9 +192,6 @@ def _short_cycle(g: Graph, v: str) -> list:
     # the successors of v, other than v itself, that have a path back to v
     for j in _bits(g._reachability().succ[i] & _reached_by(g, i) & ~(1 << i)):
         candidate = [i] + _shortest_path(g._rows, j, i)
-        interior = candidate[:-1]
-        if len(set(interior)) != len(interior):
-            continue
         if best is None or len(candidate) < len(best):
             best = candidate
     if best is None:

@@ -28,6 +28,10 @@ from .ideals import IdealLattice, _flags, admissible_pairs
 from .ktheory import k_groups
 from .moves import _remove_sources, apply_move
 
+#: The largest ``verify --max-vertices``.  Each item draws an n × n matrix for
+#: some n up to it, so a large value would exhaust memory before any check ran.
+VERIFY_MAX_VERTICES = 64
+
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -178,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="random-corpus invariance harness")
     p.add_argument("--corpus", type=int, default=100)
-    p.add_argument("--max-vertices", type=int, default=6)
+    p.add_argument("--max-vertices", type=int, default=6,
+                   help=f"largest graph drawn, 1 to {VERIFY_MAX_VERTICES} (default 6)")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -289,6 +294,10 @@ def _cmd_export_dot(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_vertices < 1:
         raise ValidationError(f"--max-vertices must be >= 1, got {args.max_vertices}")
+    if args.max_vertices > VERIFY_MAX_VERTICES:
+        raise ValidationError(
+            f"--max-vertices must be <= {VERIFY_MAX_VERTICES}, got {args.max_vertices}"
+        )
     if args.corpus < 0:
         raise ValidationError(f"--corpus must be >= 0, got {args.corpus}")
     passed, failures = verify_corpus(args.corpus, args.max_vertices, args.seed)

@@ -76,6 +76,10 @@ class CornerGraph(_CornerGraphFields):
 
 
 def make_corner(base: Graph, heads: dict) -> CornerGraph:
+    """The corner graph of ``base`` with ``heads[v]`` as the head of each vertex v.
+
+    ``heads`` needs one entry for every vertex and none for other names.
+    """
     missing = [v for v in base.vertices if v not in heads]
     if missing:
         raise ValidationError(f"missing heads for {missing}")

@@ -24,30 +24,23 @@ def random_graph(rng: random.Random, max_vertices: int = 6, entries=DEFAULT_ENTR
     return Graph(vs, rows)
 
 
-def applicable_moves(g: Graph, rng: random.Random) -> list:
-    """Every move :func:`random_move` draws from, as (kind, params) pairs in a fixed order.
-
-    Not a sample: first each applicable S, COLLAPSE or BREAKSPLIT move in
-    vertex order, then a COLADD move for each edge ``u → v`` (``u ≠ v``)
-    out of a vertex that receives edges and emits more than one, then a
-    T move for each path ``[v, w, x]`` whose ``(v, w)`` entry is ∞ and
-    ``(v, x)`` entry is finite.  Last come out-splits, one drawn from
-    ``rng`` per vertex that has one, in vertex order.
-    """
-    return [_params(g, c) for c in _candidates(g, rng)]
-
-
 def random_move(g: Graph, rng: random.Random):
-    """``rng.choice(applicable_moves(g, rng))``, or None if there is none.
+    """One applicable move drawn from ``rng``, as a (kind, params) pair, or None.
 
-    It draws from ``rng`` as that would, but builds only the move chosen.
+    The candidates come in a fixed order: first each applicable S, COLLAPSE
+    or BREAKSPLIT move in vertex order, then a COLADD move for each edge
+    ``u → v`` (``u ≠ v``) out of a vertex that receives edges and emits more
+    than one, then a T move for each path ``[v, w, x]`` whose ``(v, w)``
+    entry is ∞ and ``(v, x)`` entry is finite.  Last come out-splits, one
+    drawn from ``rng`` per vertex that has one, in vertex order.  The move
+    is ``rng.choice`` of that list; only the chosen one is built.
     """
     candidates = _candidates(g, rng)
     return _params(g, rng.choice(candidates)) if candidates else None
 
 
 def _candidates(g: Graph, rng: random.Random) -> list:
-    """The moves of :func:`applicable_moves`, in its order, as vertex positions."""
+    """The moves :func:`random_move` draws from, in its order, as vertex positions."""
     rows, degs = g._rows, g._degs()
     out = []
     for i, row in enumerate(rows):
@@ -84,13 +77,6 @@ def _params(g: Graph, candidate: tuple) -> tuple:
     if kind == "T":
         return kind, {"path": [vs[p] for p in at]}
     return kind, {"vertex": vs[at[0]]}
-
-
-def _random_split(g: Graph, u: str, rng: random.Random):
-    """A random valid two-class partition of the out-edges of ``u``."""
-    i = g.index(u)
-    drawn = _draw_split(g._rows[i], rng)
-    return None if drawn is None else _split_classes(g, i, drawn)
 
 
 def _draw_split(row: dict, rng: random.Random):

@@ -609,62 +609,6 @@ def condition_K(g: Graph) -> bool:
     return True
 
 
-def _signatures(g: Graph) -> list:
-    """Per vertex: its sorted nonzero out-entries and in-entries, and its loop count.
-
-    Between graphs with equal vertex counts these determine the sorted
-    dense row and column.
-    """
-    cols = [{} for _ in range(g.n)]
-    for i, row in enumerate(g._rows):
-        for j, m in row.items():
-            cols[j][i] = m
-    return [
-        (sorted(row.values()), sorted(col.values()), row.get(i, 0))
-        for i, (row, col) in enumerate(zip(g._rows, cols))
-    ]
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Graph isomorphism on adjacency matrices (edge indices are ignored)."""
-    if g1.n != g2.n:
-        return False
-    rows1, rows2 = g1._rows, g2._rows
-    sig1, sig2 = _signatures(g1), _signatures(g2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    candidates = [
-        [j for j in range(g2.n) if sig2[j] == sig1[i]] for i in range(g1.n)
-    ]
-    order = sorted(range(g1.n), key=lambda i: len(candidates[i]))
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def ok(i: int, j: int) -> bool:
-        for i2, j2 in assign.items():
-            if rows1[i].get(i2, 0) != rows2[j].get(j2, 0):
-                return False
-            if rows1[i2].get(i, 0) != rows2[j2].get(j, 0):
-                return False
-        return rows1[i].get(i, 0) == rows2[j].get(j, 0)
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j not in used and ok(i, j):
-                assign[i] = j
-                used.add(j)
-                if backtrack(k + 1):
-                    return True
-                del assign[i]
-                used.remove(j)
-        return False
-
-    return backtrack(0)
-
-
 def _fresh(names: Iterable[str], taken: set) -> list:
     """Each name with ``'`` appended until it is not in ``taken``, which then takes it."""
     out = []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
+from oracles import is_isomorphic
 from sample_graphs import (
     edge_to_sink,
     inf_to_loop,
@@ -23,7 +24,6 @@ from graphck import (
     MoveRecord,
     breaking_vertices,
     canonicalize,
-    is_isomorphic,
     is_saturated,
     is_stably_complete,
     k_groups,

@@ -13,7 +13,7 @@ from sample_graphs import block_graph, inf_to_loop, mixed_emitter, two_loops
 
 import graphck
 from graphck import ExtNat, Graph, MoveRecord, corner_graph, remove_regular_sources, replay
-from graphck.cli import _build_parser, _emit, main
+from graphck.cli import VERIFY_MAX_VERTICES, _build_parser, _emit, main
 
 
 def write_graph(tmp_path, g, name="g.json"):
@@ -363,6 +363,14 @@ def test_unitize_on_plain_graph_is_one_error_line(tmp_path, capsys):
 def test_verify_without_vertices_is_one_error_line(capsys):
     assert main(["verify", "--max-vertices", "0"]) == 1
     assert _one_error_line(capsys)
+
+
+def test_verify_above_the_vertex_bound_is_one_error_line(monkeypatch, capsys):
+    """The bound is checked before any graph is drawn."""
+    monkeypatch.setattr(graphck.cli, "verify_corpus", None)
+    too_many = VERIFY_MAX_VERTICES + 1
+    assert main(["verify", "--max-vertices", str(too_many)]) == 1
+    assert capsys.readouterr() == ("", f"error: --max-vertices must be <= 64, got {too_many}\n")
 
 
 def test_verify_negative_corpus_is_one_error_line(capsys):

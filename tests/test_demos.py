@@ -1,12 +1,17 @@
-"""Every demo under ``demos/`` runs to completion and prints its pinned output."""
+"""The user-facing documents: every demo under ``demos/`` runs to completion
+and prints its pinned output, and the README names every public name."""
 
 import hashlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+import graphck
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 #: SHA-256 of each demo's stdout.  Demo 05 prints K₀ classes as residues,
 #: so it also pins the residues a user sees.
@@ -26,3 +31,12 @@ def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[demo.stem]
+
+
+def test_readme_names_every_public_name():
+    """Each ``graphck.__all__`` name is a word of some inline code span of the
+    README, outside its fenced code blocks."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(encoding="utf-8"),
+                  flags=re.DOTALL | re.MULTILINE)
+    words = {w for span in re.findall(r"`([^`]+)`", text) for w in re.findall(r"\w+", span)}
+    assert sorted(set(graphck.__all__) - words) == []

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
+from gen_moves import _random_split, applicable_moves
+from oracles import is_isomorphic
 from sample_graphs import inf_to_loop, one_loop, two_loops
 
 from graphck import (
@@ -27,7 +29,6 @@ from graphck import (
     column_add,
     column_ops_along_path,
     dominates,
-    is_isomorphic,
     k_groups,
     make_graph,
     move_T,
@@ -36,7 +37,7 @@ from graphck import (
     replay,
     split_breaking,
 )
-from graphck.corpus import _random_split, applicable_moves, random_graph, random_move
+from graphck.corpus import random_graph, random_move
 from graphck.graph import _INF, _degrees_of, _reach_of, _with
 from graphck.moves import MOVE_KINDS
 

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gen_systems
 from sample_graphs import (
@@ -24,6 +26,7 @@ from graphck import (
     ProjectionSequence,
     ValidationError,
     build_EH,
+    canonicalize,
     corner_graph,
     corner_pipeline,
     eliminate_dominated_emitter,
@@ -38,6 +41,7 @@ from graphck import (
     make_graph,
     make_partitioned,
     normalize_multiplicities,
+    random_graph,
     realize,
     tail_instance,
     to_multiplicities,
@@ -653,3 +657,89 @@ def test_corner_outputs_match_golden_hash():
                 data = _corner_outputs(g, gen_systems.random_full_sequence(rng, g, with_tail))
                 digest.update(json.dumps(data, ensure_ascii=False).encode())
     assert digest.hexdigest() == CORNER_GOLDEN
+
+
+# Small stably complete graphs: the canonical forms of seeded draws of up to
+# four vertices, and one graph of each infinite-emitter family.
+_PIPELINE_GRAPHS = [
+    canonicalize(random_graph(random.Random(s), max_vertices=4))[0] for s in range(12)
+]
+_PIPELINE_GRAPHS += [
+    family(random.Random(0))
+    for family in (gen_systems.looped_emitter_graph, gen_systems.dominated_emitter_graph,
+                   gen_systems.undominated_emitter_graph)
+]
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.integers(), st.floats(), st.text(max_size=3)
+)
+_json = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(["head", "tail", "v", "T", "n"]),
+                                  st.text(max_size=3)), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _pipeline_cases(draw):
+    """A graph and JSON for a projection sequence over it: arbitrary JSON, or
+    the sequence's shape with names, edges and multiplicities that are valid
+    for the graph, and, unless the case is clean, some that are not."""
+    g = draw(st.sampled_from(_PIPELINE_GRAPHS))
+    clean = draw(st.booleans())
+    vs = g.vertices or ("a",)
+    name = st.sampled_from(vs) if clean else st.one_of(st.sampled_from(vs), _json_scalars)
+    n = st.integers(1, 3) if clean else st.one_of(st.integers(1, 3), _json_scalars)
+    junk_edge = st.one_of(st.lists(st.one_of(name, st.integers(-1, 3)), max_size=4), _json)
+
+    @st.composite
+    def term(draw):
+        v = draw(name)
+        own = []
+        if isinstance(v, str) and g.has_vertex(v):
+            own = [[v, w, k] for w in g.successors(v) for k in range(3)]
+        if clean:  # distinct edges of v, since a T set holds each edge once
+            edges = st.just([])
+            if own:
+                edges = st.lists(st.sampled_from(own), max_size=3, unique_by=tuple)
+        else:
+            edge = st.one_of(st.sampled_from(own), junk_edge) if own else junk_edge
+            edges = st.one_of(st.lists(edge, max_size=3), _json)
+        data = {"v": v, "n": draw(n)}
+        if draw(st.booleans()):
+            data["T"] = draw(edges)
+        return data
+
+    every_vertex = [{"v": v, "n": 1} for v in g.vertices]
+    system = st.one_of(
+        st.lists(term(), max_size=4).map(lambda terms: every_vertex + terms),
+        st.lists(term(), max_size=4),
+    )
+    if not clean:
+        system = st.one_of(system, _json)
+    sequence = st.fixed_dictionaries(
+        {"head": st.lists(system, min_size=1, max_size=3)},
+        optional={"tail": st.one_of(system, st.none())},
+    )
+    if not clean:
+        sequence = st.one_of(sequence, _json)
+    return g, draw(sequence)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_pipeline_cases())
+@example(case=(
+    _PIPELINE_GRAPHS[-1],
+    gen_systems.random_full_sequence(random.Random(0), _PIPELINE_GRAPHS[-1], True).to_json(),
+))
+def test_sequence_json_through_the_pipeline_raises_only_graphck_errors(case):
+    g, data = case
+    try:
+        out = corner_pipeline(g, ProjectionSequence.from_json(data))
+    except GraphCKError:
+        return
+    assert list(out) == list(g.vertices)
+    assert all(m >= 1 for m in out.values())

@@ -11,6 +11,8 @@ import math
 import random
 import tracemalloc
 
+from gen_moves import _random_split
+
 from graphck import (
     INF,
     EdgeRef,
@@ -28,7 +30,6 @@ from graphck import (
     split_breaking,
     unitize,
 )
-from graphck.corpus import _random_split
 from graphck.graph import fresh_names
 from graphck.moves import REMAINDER, apply_move
 
