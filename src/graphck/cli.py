@@ -6,6 +6,11 @@ spelled "inf"; exit status is 1 for validation and domain errors and 2
 when the verification harness finds an invariant violation.  Exit status 2
 also means a usage error, with ``usage: graphck`` on stderr; argparse reads a
 separate value such as ``-1e+16`` as an option, so write ``--multiplicities=-1e+16``.
+
+Importing this module loads ``graphck.errors`` and no other graphck module.
+Each command imports the library modules it runs in its own body, so a call
+loads only those (the README's "Command line" section lists them per
+command); a usage error or ``--version`` loads none.
 """
 
 from __future__ import annotations
@@ -18,15 +23,7 @@ from itertools import compress
 from json.encoder import encode_basestring
 
 from . import __version__
-from .canonical import canonicalize, is_stably_complete
-from .corners import CornerGraph, corner_graph, realize, unitize
-from .corpus import verify_corpus
 from .errors import GraphCKError, ValidationError
-from .extnat import ExtNat
-from .graph import Graph, condition_K, vertex_class
-from .ideals import IdealLattice, _flags, admissible_pairs
-from .ktheory import k_groups
-from .moves import _remove_sources, apply_move
 
 #: The largest ``verify --max-vertices``.  Each item draws an n × n matrix for
 #: some n up to it, so a large value would exhaust memory before any check ran.
@@ -49,7 +46,9 @@ def _parse_json(text: str, source: str):
         raise ValidationError(f"{source} nests JSON too deeply to read") from None
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str):
+    from .graph import Graph
+
     return Graph.from_json(_read_json(path))
 
 
@@ -82,7 +81,7 @@ def _indented(data, pad: str = "\n") -> str:
     return json.dumps(data, indent=2, ensure_ascii=False).replace("\n", pad)
 
 
-def _lattice_text(lattice: IdealLattice) -> str:
+def _lattice_text(lattice) -> str:
     """``_indented(lattice.to_json())``, written from name texts and ``lattice.up``.
 
     A node is its H's text, made once for each run of nodes sharing one H,
@@ -90,6 +89,8 @@ def _lattice_text(lattice: IdealLattice) -> str:
     j's cell.  No node lies below an earlier one, so row i's cells are picked
     from column i on by the bit flags of ``row >> i``; no pair list is built.
     """
+    from .ideals import _flags
+
     parts, h = ['{\n  "nodes": [\n    '], None
     for p in lattice.nodes:
         if p.h is not h:
@@ -190,6 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    from .canonical import is_stably_complete
+    from .graph import condition_K, vertex_class
+
     g = _load_graph(args.graph)
     report = is_stably_complete(g)
     data = {
@@ -202,6 +206,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
+    from .canonical import canonicalize
+
     g = _load_graph(args.graph)
     out, trace = canonicalize(g)
     _emit(out.to_json(), args.out)
@@ -211,6 +217,8 @@ def _cmd_canonicalize(args) -> int:
 
 
 def _cmd_move(args) -> int:
+    from .moves import _remove_sources, apply_move
+
     g = _load_graph(args.graph)
     if args.op == "remove-sources":
         out, trace = _remove_sources(g)
@@ -248,6 +256,8 @@ def _move_params(args):
 
 
 def _cmd_ideals(args) -> int:
+    from .ideals import admissible_pairs
+
     if args.max_vertices < 0:
         raise ValidationError(f"--max-vertices must be >= 0, got {args.max_vertices}")
     g = _load_graph(args.graph)
@@ -260,6 +270,9 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_corner(args) -> int:
+    from .corners import corner_graph, realize
+    from .extnat import ExtNat
+
     g = _load_graph(args.graph)
     data = _parse_json(args.multiplicities, "--multiplicities")
     if not isinstance(data, dict):
@@ -274,12 +287,16 @@ def _cmd_corner(args) -> int:
 
 
 def _cmd_unitize(args) -> int:
+    from .corners import CornerGraph, unitize
+
     cg = CornerGraph.from_json(_read_json(args.corner))
     _emit(unitize(cg).to_json(), args.out)
     return 0
 
 
 def _cmd_ktheory(args) -> int:
+    from .ktheory import k_groups
+
     g = _load_graph(args.graph)
     _emit(k_groups(g).to_json(), args.out)
     return 0
@@ -292,6 +309,8 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .corpus import verify_corpus
+
     if args.max_vertices < 1:
         raise ValidationError(f"--max-vertices must be >= 1, got {args.max_vertices}")
     if args.max_vertices > VERIFY_MAX_VERTICES:

@@ -13,7 +13,6 @@ enumerate infinite families.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from json.encoder import encode_basestring
 from typing import Iterable, NamedTuple, Sequence
@@ -309,7 +308,14 @@ class Graph:
         return '{"vertices":[' + names + '],"adjacency":[' + ",".join(rows) + "]}"
 
     def digest(self) -> str:
+        """SHA-256 hex digest of ``canonical_json``, computed once and kept.
+
+        ``hashlib`` is imported by the first digest taken, not with this
+        module: it loads OpenSSL, which only traces and their checks need.
+        """
         if self._digest is None:
+            import hashlib
+
             text = self.canonical_json().encode("utf-8")
             self._digest = hashlib.sha256(text).hexdigest()
         return self._digest

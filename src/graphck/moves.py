@@ -417,9 +417,11 @@ class MoveRecord:
     @staticmethod
     def from_json(data) -> "MoveRecord":
         """Read a record: string ``kind`` and hashes, ``params`` with the fields its kind needs."""
+        if not isinstance(data, dict):
+            raise ValidationError(f"bad move record: the record must be an object, got {data!r}")
         try:
             fields = [data[k] for k in ("kind", "params", "input-hash", "output-hash")]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValidationError(f"bad move record: {exc}") from exc
         kind, params, *hashes = fields
         for name, got in zip(("kind", "input-hash", "output-hash"), (kind, *hashes)):

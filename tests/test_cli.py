@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 from sample_graphs import block_graph, inf_to_loop, mixed_emitter, two_loops
 
 import graphck
-from graphck import ExtNat, Graph, MoveRecord, corner_graph, remove_regular_sources, replay
+from graphck import (
+    ExtNat, Graph, GraphCKError, MoveRecord, ValidationError, corner_graph,
+    remove_regular_sources, replay,
+)
 from graphck.cli import VERIFY_MAX_VERTICES, _build_parser, _emit, main
+from graphck.moves import MOVE_KINDS
 
 
 def write_graph(tmp_path, g, name="g.json"):
@@ -262,6 +266,87 @@ def test_import_loads_only_what_is_used():
     assert "no_such_name" in error
 
 
+# Imports graphck.cli, prints the graphck modules and whether hashlib is
+# loaded, then runs each command line of argv[1] in a forked copy of that
+# state and prints its exit code and the same two facts.  A fork costs a few
+# milliseconds where a new interpreter costs a hundred or more.
+_FOOTPRINT = """
+import contextlib, io, json, os, sys
+import graphck.cli
+
+def footprint():
+    package = sorted(m for m in sys.modules if m.partition(".")[0] == "graphck")
+    return package, "hashlib" in sys.modules
+
+print(json.dumps(footprint()), flush=True)
+for argv in json.loads(sys.argv[1]):
+    if os.fork() == 0:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = graphck.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        print(json.dumps([code, *footprint()]), flush=True)
+        os._exit(0)
+    os.wait()
+"""
+
+_GRAPH = ["errors", "extnat", "graph"]
+_CANONICAL = [*_GRAPH, "canonical", "moves"]
+_MOVE = ["move", "{g}", "--op", "collapse", "--vertex", "u"]
+#: Per command line: its exit code, the graphck modules besides the package and
+#: ``cli`` that it loads, and whether it loads ``hashlib``.  A command loads the
+#: same modules whether it succeeds or fails.
+_FOOTPRINTS = [
+    (["--version"], 0, ["errors"], False),
+    (["no-such-command"], 2, ["errors"], False),
+    (["analyze", "{g}"], 0, _CANONICAL, False),
+    (["analyze", "{missing}"], 1, _CANONICAL, False),
+    (["canonicalize", "{g}"], 0, _CANONICAL, False),
+    (["canonicalize", "{g}", "--trace", "{trace}"], 0, _CANONICAL, True),
+    (_MOVE, 0, [*_GRAPH, "moves"], False),
+    ([*_MOVE, "--trace", "{trace}"], 0, [*_GRAPH, "moves"], True),
+    (["ideals", "{g}"], 0, [*_GRAPH, "ideals"], False),
+    (["ideals", "{g}", "--format", "dot"], 0, [*_GRAPH, "ideals"], False),
+    (["corner", "{loops}", "--multiplicities", '{"a": 3}', "--realize"], 0,
+     [*_GRAPH, "corners"], False),
+    (["unitize", "{corner}"], 0, [*_GRAPH, "corners"], False),
+    (["ktheory", "{g}"], 0, [*_GRAPH, "ktheory"], False),
+    (["export-dot", "{g}"], 0, _GRAPH, False),
+    (["verify", "--corpus", "2", "--max-vertices", "3"], 0,
+     [*_CANONICAL, "corpus", "ktheory"], False),
+    (["verify", "--max-vertices", "0"], 1, [*_CANONICAL, "corpus", "ktheory"], False),
+]
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """``import graphck.cli`` loads only ``errors``; each command then loads its own table.
+
+    Only a trace written by ``canonicalize`` or ``move`` takes a digest, and so
+    loads ``hashlib``.
+    """
+    corner = tmp_path / "corner.json"
+    cg = corner_graph(inf_to_loop(), {"v": ExtNat.of(1), "w": ExtNat.of(2)})
+    corner.write_text(json.dumps(cg.to_json()))
+    files = {
+        "{g}": write_graph(tmp_path, through_vertex()),
+        "{loops}": write_graph(tmp_path, two_loops(), "loops.json"),
+        "{corner}": str(corner),
+        "{missing}": str(tmp_path / "missing.json"),
+        "{trace}": str(tmp_path / "trace.json"),
+    }
+    argvs = [[files.get(a, a) for a in argv] for argv, *_ in _FOOTPRINTS]
+    done = _run_module("-c", _FOOTPRINT, json.dumps(argvs))
+    assert done.stderr == ""
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert lines[0] == [["graphck", "graphck.cli", "graphck.errors"], False]
+    expected = [
+        [code, sorted(["graphck", "graphck.cli", *(f"graphck.{m}" for m in loads)]), digest]
+        for _, code, loads, digest in _FOOTPRINTS
+    ]
+    assert dict(zip(map(" ".join, argvs), lines[1:])) == dict(zip(map(" ".join, argvs), expected))
+
+
 def test_verify_reports_line(capsys):
     code = main(["verify", "--corpus", "20", "--max-vertices", "4", "--seed", "7"])
     assert code == 0
@@ -290,10 +375,10 @@ def test_graph_json_round_trip(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    import graphck.cli as cli
+    import graphck.corpus as corpus
 
     monkeypatch.setattr(
-        cli, "verify_corpus", lambda n, mv, seed: (n - 1, [(0, {}, "boom")])
+        corpus, "verify_corpus", lambda n, mv, seed: (n - 1, [(0, {}, "boom")])
     )
     code = main(["verify", "--corpus", "5"])
     assert code == 2
@@ -367,7 +452,7 @@ def test_verify_without_vertices_is_one_error_line(capsys):
 
 def test_verify_above_the_vertex_bound_is_one_error_line(monkeypatch, capsys):
     """The bound is checked before any graph is drawn."""
-    monkeypatch.setattr(graphck.cli, "verify_corpus", None)
+    monkeypatch.setattr("graphck.corpus.verify_corpus", None)
     too_many = VERIFY_MAX_VERTICES + 1
     assert main(["verify", "--max-vertices", str(too_many)]) == 1
     assert capsys.readouterr() == ("", f"error: --max-vertices must be <= 64, got {too_many}\n")
@@ -582,8 +667,8 @@ _entries = st.sampled_from([0, 0, 0, 1, 2, "inf"])
 
 
 @st.composite
-def _square_graphs(draw, entries, min_size=0):
-    names = draw(st.lists(_names, min_size=min_size, max_size=6, unique=True))
+def _square_graphs(draw, entries, min_size=0, max_size=6):
+    names = draw(st.lists(_names, min_size=min_size, max_size=max_size, unique=True))
     return {"vertices": names, "adjacency": [[draw(entries) for _ in names] for _ in names]}
 
 
@@ -677,7 +762,95 @@ def test_move_exits_cleanly_and_its_trace_replays(tmp_path_factory, call):
     code, err = _run_cli(argv)
     assert _clean_exit(code, err), argv
     if code == 0:
-        cur = Graph.from_json(graph)
-        for data in json.loads(trace.read_text(encoding="utf-8")):
-            cur = replay(cur, MoveRecord.from_json(data))
-        assert cur.to_json() == json.loads(out.read_text(encoding="utf-8"))
+        _assert_trace_replays(graph, trace, out)
+
+
+def _assert_trace_replays(graph, trace, out):
+    """The records in file ``trace`` replay the ``graph`` JSON to the graph in file ``out``."""
+    cur = Graph.from_json(graph)
+    for data in json.loads(trace.read_text(encoding="utf-8")):
+        cur = replay(cur, MoveRecord.from_json(data))
+    assert cur.to_json() == json.loads(out.read_text(encoding="utf-8"))
+
+
+_valid_graphs = _square_graphs(_entries, min_size=1, max_size=5)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(graph=st.one_of(_valid_graphs, _valid_graphs, _valid_graphs,
+                       _square_graphs(st.one_of(_entries, _entries, _cells), max_size=5),
+                       json_trees))
+@example(graph=mixed_emitter().to_json())
+@example(graph={"vertices": ['"', "v^1", ""],
+                "adjacency": [["inf", 1, 0], [0, 0, 2], [1, "inf", 0]]})
+@example(graph={"vertices": ["a"], "adjacency": [["inf"]]})
+def test_canonicalize_exits_cleanly_and_its_trace_replays(tmp_path_factory, graph):
+    """A clean run's trace replays from the input to the written output.
+
+    Its hashes are the run's first digests, so writing them imports ``hashlib``.
+    ``canonicalize`` is total, so only a file that is not a graph exits 1.
+    """
+    tmp = tmp_path_factory.mktemp("canonicalize")
+    gpath, out, trace = tmp / "g.json", tmp / "out.json", tmp / "trace.json"
+    gpath.write_text(json.dumps(graph), encoding="utf-8")
+    code, err = _run_cli(["canonicalize", str(gpath), f"--out={out}", f"--trace={trace}"])
+    assert _clean_exit(code, err), graph
+    if code == 0:
+        _assert_trace_replays(graph, trace, out)
+    else:
+        with pytest.raises(GraphCKError):
+            Graph.from_json(graph)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(corpus=st.integers(0, 3), max_vertices=st.integers(1, 4), seed=st.integers())
+@example(corpus=3, max_vertices=4, seed=-1)
+@example(corpus=0, max_vertices=1, seed=2**70)
+def test_verify_exits_cleanly(corpus, max_vertices, seed):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", f"--corpus={corpus}", f"--max-vertices={max_vertices}", f"--seed={seed}"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        0, f"{corpus}/{corpus} invariance checks passed\n", ""
+    )
+
+
+# Move-record JSON: any JSON at all; an object with all or some of a
+# record's keys, whose kind is mostly a real one and whose params mostly
+# carry fields that some kind needs, holding names or lists of names; or a
+# well-formed record, which has every field that any kind needs.
+_param_fields = st.sampled_from(["vertex", "classes", "path", "source", "target"])
+_all_params = st.fixed_dictionaries(
+    {"vertex": _names, "classes": st.lists(st.just("rest"), max_size=2),
+     "path": st.lists(_names, max_size=3), "source": _names, "target": _names}
+)
+_record_fields = {
+    "kind": st.one_of(st.sampled_from(MOVE_KINDS), _scalars),
+    "params": st.one_of(
+        st.dictionaries(_param_fields, st.one_of(_names, st.lists(_names, max_size=3), json_trees)),
+        json_trees,
+    ),
+    "input-hash": st.one_of(st.just("0" * 64), _scalars),
+    "output-hash": st.one_of(st.just("0" * 64), _scalars),
+}
+_records = st.one_of(
+    json_trees,
+    st.fixed_dictionaries(_record_fields),
+    st.fixed_dictionaries({}, optional=_record_fields),
+    st.fixed_dictionaries({"kind": st.sampled_from(MOVE_KINDS), "params": _all_params,
+                           "input-hash": st.text(max_size=3), "output-hash": st.text(max_size=3)}),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=_records)
+@example(data=["S"])
+@example(data={"kind": "T", "params": {"path": ["a", 1]}, "input-hash": "", "output-hash": ""})
+def test_move_record_from_json_raises_only_its_validation_error(data):
+    try:
+        rec = MoveRecord.from_json(data)
+    except ValidationError as exc:
+        assert str(exc).startswith("bad move record: "), data
+    else:
+        assert rec.to_json() == data

@@ -65,7 +65,7 @@ def test_edge_ref_from_json_rejects_a_negative_index():
     "data, message",
     [
         ({"kind": "S", "input-hash": "", "output-hash": ""}, "bad move record: 'params'"),
-        (["S"], "bad move record: list indices must be integers or slices, not str"),
+        (["S"], "bad move record: the record must be an object, got ['S']"),
     ],
     ids=["missing-key", "not-an-object"],
 )
