@@ -57,15 +57,20 @@ def _indented(data, pad: str = "\n") -> str:
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
     set; this joins the same text from C-encoded pieces.  Exact ``str``,
-    ``int``, ``list`` and ``dict`` with ``str`` keys are written here,
-    anything else by ``json.dumps`` itself, so the bytes stay the same.
+    ``int``, ``bool``, ``None``, ``list`` and ``dict`` with ``str`` keys
+    are written here, anything else by ``json.dumps`` itself, so the
+    bytes stay the same.
     """
     kind = type(data)
     if kind is str:
         return encode_basestring(data)
     if kind is int:
         return int.__repr__(data)
-    if kind is bool or kind is float or data is None:
+    if kind is bool:
+        return "true" if data else "false"
+    if data is None:
+        return "null"
+    if kind is float:
         return json.dumps(data)  # no container: the compact encoder writes the same text
     inner = pad + "  "
     if kind is list:

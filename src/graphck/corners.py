@@ -124,11 +124,12 @@ def realize(cg: CornerGraph) -> Graph:
     if any(h.is_infinite for _, h in cg.heads):
         raise CannotRealizeError("infinite heads have no finite expansion")
     base = cg.base
-    wanted, rows = [], list(base._rows)
-    for i, (v, h) in enumerate(cg.heads):
-        for k in range(1, h._v + 1):  # v^1 → v, and v^k → v^(k-1), the row just before
-            wanted.append(f"{v}^{k}")
-            rows.append({i if k == 1 else len(rows) - 1: 1})
+    wanted = [f"{v}^{k}" for v, h in cg.heads for k in range(1, h._v + 1)]
+    rows = list(base._rows)
+    for i, (_, h) in enumerate(cg.heads):  # v^1 → v, and v^k → v^(k-1), the row just before
+        if h:
+            rows.append({i: 1})
+            rows += [{j: 1} for j in range(len(rows) - 1, len(rows) + h._v - 2)]
     names = _fresh(wanted, set(base.vertices))
     return Graph._trusted(base.vertices + tuple(names), tuple(rows))
 

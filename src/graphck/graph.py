@@ -224,9 +224,11 @@ class Graph:
         return tuple(u for u, row in zip(self.vertices, self._rows) if j in row)
 
     def edge_valid(self, e: EdgeRef) -> bool:
-        if type(e.index) is not int or not (self.has_vertex(e.src) and self.has_vertex(e.dst)):
+        try:
+            i, j = self._pos[e.src], self._pos[e.dst]
+        except (KeyError, TypeError):  # an unknown name, or one that cannot be hashed
             return False
-        return 0 <= e.index < self._mult(e.src, e.dst)
+        return type(e.index) is int and 0 <= e.index < self._rows[i].get(j, 0)
 
     def _degs(self) -> "_Degrees":
         if self._degrees is None:

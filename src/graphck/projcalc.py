@@ -61,12 +61,13 @@ class CoefficientSystem(NamedTuple):
     def make(items) -> "CoefficientSystem":
         """Build from (v, edges, n) triples, merging equal (v, T) keys.
 
-        Edges are checked for their shape only; :meth:`validate` checks
-        them against a graph.
+        Each term is checked for its shape, its edges are coerced to
+        ``EdgeRef`` and its name to ``str``; :func:`_merged` then builds
+        the system.  :meth:`validate` checks the edges against a graph.
         """
         if not isinstance(items, (list, tuple)):
             raise ValidationError(f"coefficient system must be a list of terms, got {items!r}")
-        acc = {}
+        checked = []
         try:  # sorting and hashing the edges raise TypeError on names or indices of mixed types
             for term in items:
                 if not isinstance(term, (list, tuple)) or len(term) != 3:
@@ -81,14 +82,12 @@ class CoefficientSystem(NamedTuple):
                         raise ValidationError(f"duplicate edge in T of {v!r}")
                 if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
                     raise ValidationError(f"multiplicity must be a positive int, got {n!r}")
-                key = (v if type(v) is str else str(v), tuple(edges))
-                acc[key] = acc.get(key, 0) + n
-            terms = tuple(sorted((v, t, n) for (v, t), n in acc.items()))
+                checked.append((v if type(v) is str else str(v), edges, n))
+            return _merged(checked)
         except TypeError:
             raise ValidationError(
                 f"edges need string names and int indices, got {items!r}"
             ) from None
-        return CoefficientSystem(terms)
 
     @staticmethod
     def empty() -> "CoefficientSystem":
@@ -106,18 +105,58 @@ class CoefficientSystem(NamedTuple):
             items.extend(o.terms)
         return CoefficientSystem.make(items)
 
-    def validate(self, g: Graph) -> None:
-        for v, t, n in self.terms:
+    def validate(self, g: Graph) -> "CoefficientSystem":
+        """Check every term against ``g``, and return the system in canonical form.
+
+        Raises ``ValidationError`` unless the terms are a list of ``(v,
+        T, n)`` triples with ``v`` a vertex name, ``n`` a positive ``int``
+        and ``T`` a list of ``EdgeRef``s out of ``v``, nonempty only at an
+        infinite emitter; an unknown name raises ``NotFoundError``.  The
+        result is the system itself when its terms are tuples in sorted
+        order with distinct ``(v, T)`` keys, as :meth:`make` builds them,
+        and otherwise the equal system that ``make`` builds from them.
+        """
+        terms = self.terms
+        if not isinstance(terms, (list, tuple)):
+            raise ValidationError(f"coefficient system must be a list of terms, got {terms!r}")
+        ordered = type(terms) is tuple  # so far: tuples, in strictly increasing (v, T) order
+        prev = None
+        for term in terms:
+            if not isinstance(term, (list, tuple)) or len(term) != 3:
+                raise ValidationError(f"coefficient term must be (v, edges, n), got {term!r}")
+            if type(term) is not tuple:
+                ordered = False
+            v, t, n = term
+            if type(v) is not str:
+                raise ValidationError(f"vertex name must be a string, got {v!r}")
             g.index(v)
-            for e in t:
-                if e.src != v:
-                    raise ValidationError(f"edge {e} in a term at {v!r}")
-                if not g.edge_valid(e):
-                    raise ValidationError(f"{e} is not an edge of the graph")
-            if t and not g.is_infinite_emitter(v):
-                raise ValidationError(
-                    f"nonempty T at {v!r}, which is not an infinite emitter"
-                )
+            if type(t) is not tuple:
+                if type(t) is not list:
+                    raise ValidationError(f"term 'T' must be a list of edges, got {t!r}")
+                ordered = False
+            if t:
+                last = None
+                for e in t:
+                    if type(e) is not EdgeRef:
+                        raise ValidationError(f"edge must be an EdgeRef, got {e!r}")
+                    if e.src != v:
+                        raise ValidationError(f"edge {e} in a term at {v!r}")
+                    if not g.edge_valid(e):
+                        raise ValidationError(f"{e} is not an edge of the graph")
+                    if ordered and last is not None and e <= last:
+                        ordered = False
+                    last = e
+                if not g.is_infinite_emitter(v):
+                    raise ValidationError(
+                        f"nonempty T at {v!r}, which is not an infinite emitter"
+                    )
+            if type(n) is not int or n <= 0:
+                raise ValidationError(f"multiplicity must be a positive int, got {n!r}")
+            if ordered:
+                key = (v, t)
+                ordered = prev is None or prev < key
+                prev = key
+        return self if ordered else _merged(terms)
 
     def k0_vector(self, g: Graph) -> list:
         """Integer vertex-vector Σ n·(χ_v − Σ_{e∈T} χ_{r(e)})."""
@@ -151,6 +190,41 @@ class CoefficientSystem(NamedTuple):
         return CoefficientSystem.make(items)
 
 
+def _merged(items) -> CoefficientSystem:
+    """The system of ``(v, T, n)`` items: each T sorted, equal (v, T) keys merged, terms sorted.
+
+    Items are trusted to be well formed: :meth:`CoefficientSystem.make`
+    and :meth:`CoefficientSystem.validate` check what a public entry
+    receives, and every internal step builds its systems here.  A T that
+    holds an edge twice still raises ``ValidationError``.
+    """
+    acc = {}
+    for v, t, n in items:
+        if t:
+            t = tuple(sorted(t))
+            if len(t) > 1 and len(set(t)) < len(t):
+                raise ValidationError(f"duplicate edge in T of {v!r}")
+        else:
+            t = ()
+        key = (v, t)
+        acc[key] = acc.get(key, 0) + n
+    return CoefficientSystem(tuple(sorted([(v, t, n) for (v, t), n in acc.items()])))
+
+
+def _system(c) -> CoefficientSystem:
+    """``c`` itself, when it is a ``CoefficientSystem``."""
+    if not isinstance(c, CoefficientSystem):
+        raise ValidationError(f"expected a coefficient system, got {c!r}")
+    return c
+
+
+def _listed(head):
+    """``head`` itself, when it is a list or tuple."""
+    if not isinstance(head, (list, tuple)):
+        raise ValidationError(f"projection sequence head must be a list of systems, got {head!r}")
+    return head
+
+
 class ProjectionSequence(NamedTuple):
     """A finite head of systems plus an optional countably-repeated template."""
 
@@ -165,23 +239,39 @@ class ProjectionSequence(NamedTuple):
             out |= self.tail.support()
         return out
 
-    def validate(self, g: Graph) -> None:
-        for c in self.head:
-            c.validate(g)
-        if self.tail is not None:
-            self.tail.validate(g)
-            for v, t, _ in self.tail.terms:
+    def validate(self, g: Graph) -> "ProjectionSequence":
+        """Check every system against ``g``, and return the sequence in canonical form.
+
+        The head must be a list of ``CoefficientSystem``s and the tail
+        one or ``None``; each passes :meth:`CoefficientSystem.validate`,
+        and every tail template edge needs infinitely many parallels.
+        The result is the sequence itself when its head is a tuple of
+        systems in canonical form, and otherwise the equal sequence of
+        their canonical forms.
+        """
+        head, same = _listed(self.head), type(self.head) is tuple
+        checked = []
+        for c in head:
+            d = _system(c).validate(g)
+            same = same and d is c
+            checked.append(d)
+        tail = self.tail
+        if tail is not None:
+            tail = _system(tail).validate(g)
+            for _, t, _ in tail.terms:
                 for e in t:
                     if g._mult(e.src, e.dst) != _INF:
                         raise ValidationError(
                             "tail template edges need infinitely many parallels "
                             f"to repeat, got {e} with finite multiplicity"
                         )
+        if same and tail is self.tail:
+            return self
+        return ProjectionSequence(tuple(checked), tail)
 
     def head_total(self) -> CoefficientSystem:
-        if not self.head:
-            return CoefficientSystem.empty()
-        return self.head[0].merge(*self.head[1:])
+        """The head's systems merged into one, through :meth:`CoefficientSystem.make`."""
+        return CoefficientSystem.make([x for c in _listed(self.head) for x in _system(c).terms])
 
     def to_json(self) -> dict:
         out = {"head": [c.to_json() for c in self.head]}
@@ -215,18 +305,19 @@ def tail_instance(seq: ProjectionSequence, rep: int) -> CoefficientSystem:
         raise DomainError("sequence has no tail")
     if not isinstance(rep, int) or isinstance(rep, bool) or rep < 0:
         raise ValidationError(f"repetition must be a non-negative int, got {rep!r}")
+    template = CoefficientSystem.make(_system(seq.tail).terms).terms
     group_sizes: dict = defaultdict(int)
-    for _, t, _ in seq.tail.terms:
+    for _, t, _ in template:
         for e in t:
             group_sizes[(e.src, e.dst)] += 1
     items = []
-    for v, t, n in seq.tail.terms:
+    for v, t, n in template:
         edges = [
             EdgeRef(e.src, e.dst, e.index + 2 * rep * group_sizes[(e.src, e.dst)])
             for e in t
         ]
         items.append((v, edges, n))
-    return CoefficientSystem.make(items)
+    return _merged(items)
 
 
 # -- queries ----------------------------------------------------------------
@@ -240,13 +331,18 @@ def _require_stably_complete(g: Graph) -> None:
 
 def k0_class_of(g: Graph, c: CoefficientSystem) -> K0Class:
     """Canonical K₀ residue of one coefficient system."""
-    c.validate(g)
-    return k0_reduce(g, c.k0_vector(g))
+    return k0_reduce(g, _system(c).validate(g).k0_vector(g))
 
 
 def head_k0_class(g: Graph, seq: ProjectionSequence) -> K0Class:
     """Canonical K₀ residue of the merged finite head."""
     return k0_class_of(g, seq.head_total())
+
+
+def _checked(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
+    """``seq`` checked, in canonical form, over a graph that must be stably complete."""
+    _require_stably_complete(g)
+    return seq.validate(g)
 
 
 def is_full(g: Graph, seq: ProjectionSequence) -> bool:
@@ -255,20 +351,23 @@ def is_full(g: Graph, seq: ProjectionSequence) -> bool:
     True when the saturation of the hereditary closure of the support
     vertices is the whole vertex set.  Requires a stably complete graph.
     """
-    _require_stably_complete(g)
-    seq.validate(g)
-    return _generates(g, seq.support())
+    return _generates(g, _mask(g, _checked(g, seq).support()))
 
 
-def _require_full(g: Graph, seq: ProjectionSequence) -> None:
-    """The guard of the steps that need a full sequence on a stably complete graph."""
-    if not is_full(g, seq):
+def _require_full(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
+    """The guard of the steps that need a full sequence on a stably complete graph.
+
+    Returns ``seq`` checked and in canonical form.
+    """
+    seq = _checked(g, seq)
+    if not _generates(g, _mask(g, seq.support())):
         raise DomainError("sequence is not full")
+    return seq
 
 
-def _generates(g: Graph, support) -> bool:
-    """Whether the saturated hereditary closure of ``support`` is everything."""
-    return _saturate_mask(g, _closure_mask(g, _mask(g, support))) == (1 << g.n) - 1
+def _generates(g: Graph, support: int) -> bool:
+    """Whether the saturated hereditary closure of the vertex mask ``support`` is everything."""
+    return _saturate_mask(g, _closure_mask(g, support)) == (1 << g.n) - 1
 
 
 def _nonempty_T(g: Graph, seq: ProjectionSequence) -> tuple:
@@ -293,14 +392,15 @@ def make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     remain unused, leaving infinitely many spare parallel edges.
     Fullness is unaffected: terms keep their (src, dst) profile.
     """
-    seq.validate(g)
-    return _make_partitioned(g, seq)
+    return _make_partitioned(g, seq.validate(g))
 
 
 def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     used = defaultdict(set)
+    moved = False  # whether alloc has renamed an edge of the current system
 
     def alloc(e: EdgeRef) -> EdgeRef:
+        nonlocal moved
         sd = (e.src, e.dst)
         cap = g._mult(e.src, e.dst)
         if cap == _INF:
@@ -311,6 +411,7 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
             while i in used[sd]:
                 i += 2
             used[sd].add(i)
+            moved = True
             return EdgeRef(e.src, e.dst, i)
         if e.index not in used[sd]:
             used[sd].add(e.index)
@@ -318,6 +419,7 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
         for i in range(cap):
             if i not in used[sd]:
                 used[sd].add(i)
+                moved = True
                 return EdgeRef(e.src, e.dst, i)
         raise DomainError(
             f"cannot make terms disjoint: all {cap} parallel edges "
@@ -326,10 +428,9 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
 
     new_head = []
     for c in seq.head:
-        items = []
-        for v, t, n in c.terms:
-            items.append((v, [alloc(e) for e in t], n))
-        new_head.append(CoefficientSystem.make(items))
+        moved = False
+        items = [(v, [alloc(e) for e in t], n) for v, t, n in c.terms]
+        new_head.append(_merged(items) if moved else c)
 
     new_tail = None
     if seq.tail is not None:
@@ -344,7 +445,7 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
                 edges.append(EdgeRef(e.src, e.dst, nxt[sd]))
                 nxt[sd] += 2
             items.append((v, edges, n))
-        new_tail = CoefficientSystem.make(items)
+        new_tail = _merged(items)
 
     return ProjectionSequence(tuple(new_head), new_tail)
 
@@ -365,23 +466,23 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
     edge toward v and adds the term (v, ∅).  Both rewrites preserve the
     K₀ class of the head exactly.
     """
-    _require_full(g, seq)
+    seq = _require_full(g, seq)
     if not g.vertices:
         return seq
 
     tail = seq.tail
     prefix: list = []
-    support: frozenset = frozenset()
+    support = 0
     while not _generates(g, support):  # the empty support generates only the empty graph
         n = len(prefix)
         if n < len(seq.head):
             prefix.append(seq.head[n])
         elif tail is not None and n == len(seq.head):
-            prefix.append(tail_instance(seq, 0))
+            prefix.append(tail)  # repetition 0 is the template itself
         else:
             raise InternalError("full sequence has no generating prefix")
-        support |= prefix[-1].support()
-    merged = prefix[0].merge(*prefix[1:])
+        support |= _mask(g, (v for v, _, _ in prefix[-1].terms))
+    merged = prefix[0] if len(prefix) == 1 else _merged([x for c in prefix for x in c.terms])
 
     terms = merged.as_dict()
     covered = set(merged.support())
@@ -423,7 +524,7 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
         covered.add(v)
 
     if missing:
-        merged = CoefficientSystem.make([(v, t, m) for (v, t), m in terms.items()])
+        merged = _merged([(v, t, m) for (v, t), m in terms.items()])
     return ProjectionSequence((merged,) + seq.head[len(prefix):], tail)
 
 
@@ -492,17 +593,19 @@ def _reroute(g: Graph, c: CoefficientSystem, v: str, w: str) -> CoefficientSyste
     """Reroute every (v, T ≠ ∅) term of ``c`` through the regular vertex ``w``.
 
     A term (v, T) ↦ n becomes (v, ∅) ↦ n plus n copies of the companion
-    expansion of the T-edge targets through ``w``.
+    expansion of the T-edge targets through ``w``.  A system with no such
+    term is returned as it is.
     """
-    items = []
+    items, rerouted = [], False
     for u, t, n in c.terms:
         if u == v and t:
+            rerouted = True
             items.append((v, (), n))
             for y, count in _companion_expansion(g, w, [e.dst for e in t]):
                 items.append((y, (), n * count))
         else:
             items.append((u, t, n))
-    return CoefficientSystem.make(items)
+    return _merged(items) if rerouted else c
 
 
 def _dominator(g: Graph, v: str):
@@ -510,14 +613,19 @@ def _dominator(g: Graph, v: str):
     return _first(g, g._degs().regular & _reached_by(g, g.index(v)))
 
 
-def _require_emitter(g: Graph, seq: ProjectionSequence, v: str, looped: bool) -> None:
-    """The guard the eliminations share: ``v`` is an infinite emitter, looped iff ``looped``."""
-    _require_stably_complete(g)
-    seq.validate(g)
+def _require_emitter(
+    g: Graph, seq: ProjectionSequence, v: str, looped: bool
+) -> ProjectionSequence:
+    """The guard the eliminations share: ``v`` is an infinite emitter, looped iff ``looped``.
+
+    Returns ``seq`` checked and in canonical form.
+    """
+    seq = _checked(g, seq)
     if not g.is_infinite_emitter(v):
         raise DomainError(f"{v!r} is not an infinite emitter")
     if g.supports_loop(v) != looped:
         raise DomainError(f"{v!r} does not support a loop" if looped else f"{v!r} supports a loop")
+    return seq
 
 
 def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> ProjectionSequence:
@@ -528,8 +636,7 @@ def eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> Project
     expansion of the T-edge targets through w.  The K₀ class of every
     system is preserved exactly.
     """
-    _require_emitter(g, seq, v, looped=True)
-    return _eliminate_loop_emitter(g, seq, v)
+    return _eliminate_loop_emitter(g, _require_emitter(g, seq, v, looped=True), v)
 
 
 def _eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> ProjectionSequence:
@@ -554,7 +661,7 @@ def eliminate_dominated_emitter(
     every such term; the terms are then rerouted through w exactly as in
     the looped case.  K₀ classes are preserved exactly.
     """
-    _require_emitter(g, seq, v, looped=False)
+    seq = _require_emitter(g, seq, v, looped=False)
     head, tail = _nonempty_T(g, seq)
     bit = 1 << g.index(v)
     if tail & bit:
@@ -575,7 +682,7 @@ def _eliminate_dominated_emitter(
     )
     if last is None:
         return seq
-    merged = seq.head[0].merge(*seq.head[1 : last + 1])
+    merged = _merged([x for c in seq.head[: last + 1] for x in c.terms])
     if (w, ()) not in merged.as_dict():
         raise DomainError(
             f"the merged prefix has no ({w!r}, ∅) term; run fullify first"
@@ -597,7 +704,7 @@ def eliminate_undominated_emitter(
     one (r(e), ∅) per e ∈ T_v \\ T'.  K₀ classes move by the action
     returned from :func:`undominated_k0_action`.
     """
-    _require_emitter(g, seq, v, looped=False)
+    seq = _require_emitter(g, seq, v, looped=False)
     if _dominator(g, v) is not None:
         raise DomainError(f"{v!r} has a regular dominator; use the dominated rule")
     if _nonempty_T(g, seq)[1] >> g.index(v) & 1:
@@ -633,14 +740,17 @@ def _eliminate_undominated_emitter(
         return EdgeRef(u, dst, i)
 
     def rewrite(c: CoefficientSystem, in_template: bool) -> CoefficientSystem:
-        items = []
+        """``c`` rewritten, or ``c`` itself when it has no term at v and no edge into v."""
+        items, changed = [], False
         for u, t, n in c.terms:
             if u == v:
+                changed = True
                 items.append((v, (), n))
                 for e in T:
                     if e not in t:
                         items.append((e.dst, (), n))
             elif any(e.dst == v for e in t):
+                changed = True
                 new_t = list(t)
                 for e in t:
                     if e.dst == v:
@@ -649,7 +759,7 @@ def _eliminate_undominated_emitter(
                 items.append((u, new_t, n))
             else:
                 items.append((u, t, n))
-        return CoefficientSystem.make(items)
+        return _merged(items) if changed else c
 
     head = tuple(rewrite(c, False) for c in seq.head)
     tail = rewrite(seq.tail, True) if seq.tail is not None else None
@@ -692,8 +802,7 @@ def to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
       reaching v,
     * n_v = 1 otherwise.
     """
-    _require_full(g, seq)
-    return _to_multiplicities(g, seq)
+    return _to_multiplicities(g, _require_full(g, seq))
 
 
 def _to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
@@ -708,7 +817,10 @@ def _to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
             if not t:
                 totals[v] += n
     # bit w of above[i]: a path, possibly of length zero, from w to i
-    above = [_reached_by(g, i) | 1 << i for i in range(g.n)]
+    above = [1 << i for i in range(g.n)]
+    for w, row in enumerate(g._reachability().reach):
+        for i in _bits(row):
+            above[i] |= 1 << w
 
     for i in _bits(nonempty):
         if not infinite & above[i]:
@@ -731,7 +843,7 @@ def _to_multiplicities(g: Graph, seq: ProjectionSequence) -> dict:
 
 def _check_partitioned(seq: ProjectionSequence) -> None:
     seen = set()
-    tail = (tail_instance(seq, 0),) if seq.tail is not None else ()
+    tail = (seq.tail,) if seq.tail is not None else ()  # repetition 0 is the template itself
     for c in seq.head + tail:
         for _, t, _ in c.terms:
             for e in t:
@@ -774,15 +886,13 @@ def corner_pipeline(g: Graph, seq: ProjectionSequence) -> dict:
     """
     # fullify checks the input; each later step's input is the previous step's output
     seq = _make_partitioned(g, fullify(g, seq))
-    for v in g.vertices:
-        if g.is_infinite_emitter(v) and g.supports_loop(v):
-            seq = _eliminate_loop_emitter(g, seq, v)
+    vs, rows = g.vertices, g._rows
+    emitters = [i for i, d in enumerate(g._degs().out) if d == _INF]
+    for i in emitters:
+        if i in rows[i]:
+            seq = _eliminate_loop_emitter(g, seq, vs[i])
     infinite = _nonempty_T(g, seq)[1]
-    loopless = [
-        v
-        for i, v in enumerate(g.vertices)
-        if g.is_infinite_emitter(v) and not g.supports_loop(v) and not infinite >> i & 1
-    ]
+    loopless = [vs[i] for i in emitters if i not in rows[i] and not infinite >> i & 1]
     dominators = {v: _dominator(g, v) for v in loopless}
     for v in loopless:
         if dominators[v] is not None:

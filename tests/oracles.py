@@ -201,6 +201,50 @@ def oracle_same_k0_class(m, x, y):
     )
 
 
+def oracle_k_pair(g):
+    """(K₀ torsion factors, K₀ free rank, K₁ free rank) by minor gcds.
+
+    The relation matrix has one column per regular vertex, one with
+    finitely many edges out and at least one: its row of A, minus 1 on
+    the diagonal.  K₀ is the cokernel and K₁ the kernel of that matrix.
+    """
+    a = g.adjacency
+    regular = [
+        j for j, row in enumerate(a)
+        if not any(x.is_infinite for x in row) and sum(int(x) for x in row) > 0
+    ]
+    m = [[int(a[j][i]) - (i == j) for j in regular] for i in range(g.n)]
+    factors = oracle_invariant_factors(m)
+    rank = len(factors)
+    return tuple(d for d in factors if d > 1), g.n - rank, len(regular) - rank
+
+
+def oracle_stably_complete(g):
+    """The five structural conditions of a stably complete graph, from the definitions.
+
+    A regular vertex has a loop; a vertex on two simple cycles has two
+    loops; a vertex that dominates w has an edge to w, infinitely many
+    when it is an infinite emitter; and a looped infinite emitter shares
+    a cycle with a regular vertex.
+    """
+    a, vs = g.adjacency, g.vertices
+    emitter = [any(x.is_infinite for x in row) for row in a]
+    regular = [not e and sum(int(x) for x in row) > 0 for e, row in zip(emitter, a)]
+    dom = [[oracle_dominates(g, v, w) for w in vs] for v in vs]
+    for i, v in enumerate(vs):
+        loops = a[i][i]
+        if regular[i] and not loops:
+            return False
+        if oracle_simple_cycle_count(g, v) == 2 and not (loops.is_infinite or int(loops) >= 2):
+            return False
+        for j in range(g.n):
+            if dom[i][j] and not (a[i][j].is_infinite if emitter[i] else a[i][j]):
+                return False
+        if emitter[i] and loops and not any(regular[j] and dom[i][j] and dom[j][i] for j in range(g.n)):
+            return False
+    return True
+
+
 def _signatures(g):
     """Per vertex: its sorted nonzero out-entries and in-entries, and its loop count.
 

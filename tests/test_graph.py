@@ -450,6 +450,11 @@ class TestEdgeRefs:
         for index in (1.5, True, "0", -1):
             assert not g.edge_valid(EdgeRef("v", "w", index))
 
+    def test_unknown_or_unhashable_names_are_not_edges(self):
+        g = inf_to_loop()
+        for src, dst in (("v", "q"), ("q", "w"), ("v", ["w"]), ({"v"}, "w")):
+            assert not g.edge_valid(EdgeRef(src, dst, 0))
+
 
 class TestIsomorphism:
     def test_relabeling(self):

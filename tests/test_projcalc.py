@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +49,7 @@ from graphck import (
     undominated_k0_action,
     unitize,
 )
+from graphck.projcalc import _merged
 
 
 def seq(*systems, tail=None):
@@ -743,3 +745,247 @@ def test_sequence_json_through_the_pipeline_raises_only_graphck_errors(case):
         return
     assert list(out) == list(g.vertices)
     assert all(m >= 1 for m in out.values())
+
+
+# -- the checks at the boundary ----------------------------------------------
+
+E = EdgeRef
+_CANONICAL = sys_of(("v", [("v", "w", 0)], 1), ("w", [], 1))  # over inf_to_loop()
+_MALFORMED = {
+    "list-edge": (
+        seq(CoefficientSystem((("v", (["v", "w", 0],), 1),))),
+        "edge must be an EdgeRef, got ['v', 'w', 0]",
+    ),
+    "head-not-systems": (
+        ProjectionSequence((("v", (), 1),)),
+        "expected a coefficient system, got ('v', (), 1)",
+    ),
+    "head-not-a-list": (
+        ProjectionSequence(5),
+        "projection sequence head must be a list of systems, got 5",
+    ),
+    "tail-not-a-system": (
+        ProjectionSequence((_CANONICAL,), [("w", (), 1)]),
+        "expected a coefficient system, got [('w', (), 1)]",
+    ),
+    "two-item-term": (
+        seq(CoefficientSystem((("v", ()),))),
+        "coefficient term must be (v, edges, n), got ('v', ())",
+    ),
+    "string-of-terms": (
+        seq(CoefficientSystem("abc")),
+        "coefficient system must be a list of terms, got 'abc'",
+    ),
+    "T-null": (
+        seq(CoefficientSystem((("w", None, 1),))),
+        "term 'T' must be a list of edges, got None",
+    ),
+    "duplicate-edge": (
+        seq(CoefficientSystem((("v", (E("v", "w", 0), E("v", "w", 0)), 1),))),
+        "duplicate edge in T of 'v'",
+    ),
+    "unhashable-edge-name": (
+        seq(CoefficientSystem((("v", (E("v", ["w"], 0),), 1),))),
+        "EdgeRef(src='v', dst=['w'], index=0) is not an edge of the graph",
+    ),
+    "name-not-a-string": (
+        seq(CoefficientSystem(((5, (), 1),))),
+        "vertex name must be a string, got 5",
+    ),
+    **{
+        f"multiplicity-{n!r}": (
+            seq(CoefficientSystem((("w", (), n),))),
+            f"multiplicity must be a positive int, got {n!r}",
+        )
+        for n in (0, -1, True)
+    },
+}
+_SEQUENCE_ENTRIES = {
+    "is_full": is_full,
+    "fullify": fullify,
+    "make_partitioned": make_partitioned,
+    "to_multiplicities": to_multiplicities,
+    "corner_pipeline": corner_pipeline,
+    "eliminate_loop_emitter": lambda g, s: eliminate_loop_emitter(g, s, "v"),
+    "eliminate_dominated_emitter": lambda g, s: eliminate_dominated_emitter(g, s, "v"),
+    "eliminate_undominated_emitter": lambda g, s: eliminate_undominated_emitter(g, s, "v"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEQUENCE_ENTRIES))
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_directly_built_malformed_input_raises_one_line(entry, case):
+    s, message = _MALFORMED[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _SEQUENCE_ENTRIES[entry](inf_to_loop(), s)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _MALFORMED if "head" not in c and "tail" not in c))
+def test_k0_class_of_checks_the_directly_built_system(case):
+    s, message = _MALFORMED[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        k0_class_of(inf_to_loop(), s.head[0])
+
+
+@pytest.mark.parametrize("case", ["head-not-systems", "head-not-a-list", "multiplicity-0"])
+def test_head_k0_class_reads_the_head_through_make(case):
+    s, message = _MALFORMED[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        head_k0_class(inf_to_loop(), s)
+
+
+def test_tail_instance_checks_the_template():
+    with pytest.raises(ValidationError, match=r"^expected a coefficient system, got \[\]$"):
+        tail_instance(ProjectionSequence((), []), 1)
+    with pytest.raises(ValidationError, match="^edge must be"):
+        tail_instance(seq(tail=CoefficientSystem((("v", (5,), 1),))), 1)
+
+
+# Directly built systems that ``make`` would re-sort or merge: out-of-order
+# terms and edges, repeated (v, T) keys, and lists where ``make`` builds tuples.
+_RAW = [
+    (
+        chain_dominated(),
+        ProjectionSequence((
+            CoefficientSystem((("w", (), 1), ("v", (E("v", "x", 2), E("v", "x", 0)), 1), ("w", (), 2))),
+            CoefficientSystem([("x", [], 3), ["v", [E("v", "x", 0)], 1]]),
+        )),
+        {"w": 3, "v": 6, "x": 4},
+        (0, 3, -2),
+    ),
+    (
+        inf_dag(),
+        ProjectionSequence((
+            CoefficientSystem((
+                ("v", (E("v", "x", 0),), 1), ("u", (E("u", "v", 0),), 1), ("u", (E("u", "v", 0),), 1),
+            )),
+            CoefficientSystem((("x", (), 1), ("u", (), 2), ("v", (), 1))),
+        )),
+        {"u": 4, "v": 8, "x": 12},
+        (4, 0, 0),
+    ),
+    (
+        looped_pair(),
+        ProjectionSequence(
+            [CoefficientSystem((("w", (), 1), ("v", (E("v", "w", 1),), 2), ("v", (E("v", "w", 1),), 1)))],
+            CoefficientSystem((("w", (), 1), ("v", [E("v", "w", 4), E("v", "v", 0)], 1))),
+        ),
+        {"v": INF, "w": INF},
+        (0, -5),
+    ),
+]
+
+
+def _made(s):
+    """The sequence of the systems ``make`` builds from the terms of ``s``."""
+    tail = None if s.tail is None else CoefficientSystem.make(list(s.tail.terms))
+    return ProjectionSequence(tuple(CoefficientSystem.make(list(c.terms)) for c in s.head), tail)
+
+
+@pytest.mark.parametrize("g, s, mult, residues", _RAW, ids=["dominated", "undominated", "looped"])
+def test_a_system_make_would_reorder_reads_as_made(g, s, mult, residues):
+    made = _made(s)
+    assert made != s
+    assert corner_pipeline(g, s) == corner_pipeline(g, made) == mult
+    assert head_k0_class(g, s).residues == residues
+    assert is_full(g, s)
+    for raw, c in zip(s.head, made.head):
+        assert k0_class_of(g, raw) == k0_class_of(g, c)
+    steps = [fullify, make_partitioned, to_multiplicities] + [
+        partial(rule, v=v)
+        for rule in (eliminate_loop_emitter, eliminate_dominated_emitter,
+                     eliminate_undominated_emitter)
+        for v in g.vertices
+    ]
+    for step in steps:
+        assert _record(step, g, s) == _record(step, g, made)
+        out = _record_raw(step, g, s)
+        if isinstance(out, ProjectionSequence):
+            assert all(_is_made(c) for c in out.head + ((out.tail,) if out.tail else ()))
+
+
+def _record_raw(step, *args):
+    try:
+        return step(*args)
+    except GraphCKError as exc:
+        return exc
+
+
+def _is_made(c) -> bool:
+    """Whether ``c`` is the very system ``make`` builds from its terms: tuples, in order."""
+    return (
+        c == CoefficientSystem.make(list(c.terms))
+        and type(c.terms) is tuple
+        and all(type(term) is tuple and type(term[1]) is tuple for term in c.terms)
+    )
+
+
+# -- invariants of the internal constructor and the public steps --------------
+
+
+def _draws():
+    """Seeded draws of the three ``gen_systems`` families, with and without a tail."""
+    for family in (gen_systems.looped_emitter_graph, gen_systems.dominated_emitter_graph,
+                   gen_systems.undominated_emitter_graph):
+        for with_tail in (False, True):
+            for s in range(15):
+                rng = random.Random(s)
+                g = family(rng)
+                yield g, gen_systems.random_full_sequence(rng, g, with_tail)
+
+
+def test_merged_is_make_on_well_formed_items():
+    rng = random.Random(39)
+    for _, s in _draws():
+        items = []
+        for c in s.head:
+            for v, t, n in c.terms:
+                edges = list(t)
+                rng.shuffle(edges)
+                if n > 1 and rng.random() < 0.5:  # one key split over two terms
+                    items.append((v, edges[::-1], n - 1))
+                    n = 1
+                items.append((v, edges if rng.random() < 0.5 else tuple(edges), n))
+        rng.shuffle(items)
+        assert _merged(items) == CoefficientSystem.make(items)
+        assert _is_made(_merged(items))
+
+
+def test_every_system_a_public_step_returns_is_made():
+    for g, s in _draws():
+        outs = []
+        for cur in (s, make_partitioned(g, fullify(g, s))):
+            outs += [fullify(g, cur), make_partitioned(g, cur)]
+            for rule in (eliminate_loop_emitter, eliminate_dominated_emitter,
+                         eliminate_undominated_emitter):
+                for v in g.vertices:
+                    try:
+                        outs.append(rule(g, cur, v))
+                    except DomainError:
+                        pass
+        systems = [c for out in outs for c in out.head + ((out.tail,) if out.tail else ())]
+        if s.tail is not None:
+            systems += [tail_instance(s, rep) for rep in (0, 1, 2)]
+        assert all(_is_made(c) for c in systems)
+
+
+def test_pipeline_checks_each_input_system_once_and_never_calls_make(monkeypatch):
+    """Counted, not timed: the checked constructor stays out of the pipeline."""
+    calls = {"make": 0, "validate": 0}
+    make, validate = CoefficientSystem.make, CoefficientSystem.validate
+
+    def counted_make(items):
+        calls["make"] += 1
+        return make(items)
+
+    def counted_validate(self, g):
+        calls["validate"] += 1
+        return validate(self, g)
+
+    draws = list(_draws())
+    monkeypatch.setattr(CoefficientSystem, "make", staticmethod(counted_make))
+    monkeypatch.setattr(CoefficientSystem, "validate", counted_validate)
+    for g, s in draws:
+        calls["validate"] = 0
+        corner_pipeline(g, s)
+        assert calls == {"make": 0, "validate": len(s.head) + (s.tail is not None)}
