@@ -3,8 +3,9 @@
 A multiplicity vector n with every n_v >= 1 determines a corner graph:
 the base plus a head of length n_v - 1 on each vertex, sitting inside
 the full stabilization (all heads ∞).  Finite heads expand to honest
-graphs; the star graph funnels every head path through one new vertex
-and realizes the minimal unitization.
+graphs; the star graph funnels every head path through one new vertex,
+which is regular when every head is finite and one is positive, and an
+infinite emitter, as for the minimal unitization, when a head is ∞.
 """
 
 from graphck import (

@@ -10,8 +10,10 @@ n_v >= 1 yields head lengths n_v - 1.
 
 For a hereditary set H the spike graph adds one fresh vertex per path
 that enters H from outside, while the star graph funnels all those
-paths through a single new vertex; the star graph realizes the minimal
-unitization of the algebra carried by the corner graph.
+paths through a single new vertex ⋆.  When a head is infinite, ⋆ is an
+infinite emitter and the star graph has the K-theory of the corner's
+minimal unitization; when every head is finite, ⋆ is a regular source,
+or an isolated sink if every head is zero (see :func:`unitize`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import CannotRealizeError, DomainError, ValidationError
 from .extnat import INF, ExtNat
-from .graph import Graph, _closure_mask, _fresh, _mask
+from .graph import Graph, _check_cover, _closure_mask, _fresh, _mask
 
 
 class _CornerGraphFields(NamedTuple):
@@ -80,12 +82,7 @@ def make_corner(base: Graph, heads: dict) -> CornerGraph:
 
     ``heads`` needs one entry for every vertex and none for other names.
     """
-    missing = [v for v in base.vertices if v not in heads]
-    if missing:
-        raise ValidationError(f"missing heads for {missing}")
-    extra = [v for v in heads if not base.has_vertex(v)]
-    if extra:
-        raise ValidationError(f"heads for unknown vertices {extra}")
+    _check_cover(base, heads, "heads")
     return CornerGraph(base, tuple((v, heads[v]) for v in base.vertices))
 
 
@@ -101,12 +98,7 @@ def corner_graph(g: Graph, multiplicities: dict) -> CornerGraph:
     vertex and is rejected, and so is a multiplicity for a name that is
     not a vertex.
     """
-    missing = [v for v in g.vertices if v not in multiplicities]
-    if missing:
-        raise ValidationError(f"multiplicities missing for {missing}")
-    extra = [v for v in multiplicities if not g.has_vertex(v)]
-    if extra:
-        raise ValidationError(f"multiplicities for unknown vertices {extra}")
+    _check_cover(g, multiplicities, "multiplicities")
     heads = []
     for v in g.vertices:
         m = ExtNat.of(multiplicities[v])
@@ -182,12 +174,18 @@ def build_EH(g: Graph, H) -> Graph:
 
 
 def unitize(cg: CornerGraph) -> Graph:
-    """The star graph of a corner graph: one fresh vertex emitting h_v edges to each v.
+    """The star graph of a corner graph: one fresh vertex ⋆ emitting h_v edges to each v.
 
     Every head vertex contributes exactly one path entering the base, so
-    the star vertex emits h_v edges toward v; it receives nothing.  The
-    star is a finite emitter exactly when all heads are finite (and a
-    sink when they are all zero).
+    ⋆ emits h_v edges toward v; it receives nothing.  Its kind decides
+    the K-theory of the result:
+
+    * an infinite head makes ⋆ an infinite emitter, and K₀ is the base's
+      plus a free ℤ, as for the minimal unitization of the corner;
+    * finite heads, one of them positive, make ⋆ a regular source, and
+      the K-theory pair is the base's;
+    * all heads zero make ⋆ an isolated sink, and K₀ is again the base's
+      plus a free ℤ.
     """
     base = cg.base
     (star,) = _fresh(["⋆"], set(base.vertices))

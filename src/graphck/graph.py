@@ -71,6 +71,20 @@ def _json_name(x) -> str:
     return x
 
 
+def _check_cover(g: "Graph", names, what: str) -> None:
+    """Raise ``ValidationError`` unless ``names`` holds every vertex of ``g`` and no other name.
+
+    The message names the offending vertices and ``what`` the names key,
+    as in ``heads missing for ['a']``.
+    """
+    missing = [v for v in g.vertices if v not in names]
+    if missing:
+        raise ValidationError(f"{what} missing for {missing}")
+    extra = [v for v in names if not g.has_vertex(v)]
+    if extra:
+        raise ValidationError(f"{what} for unknown vertices {extra}")
+
+
 def _with(row: dict, j: int, m) -> dict:
     """A copy of a sparse row with column ``j`` set to ``m``, in column order.
 

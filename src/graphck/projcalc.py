@@ -37,6 +37,7 @@ from .graph import (
     EdgeRef,
     Graph,
     _bits,
+    _check_cover,
     _closure_mask,
     _edge_fields,
     _first,
@@ -52,24 +53,30 @@ from .canonical import companion, is_stably_complete
 # -- data -------------------------------------------------------------------
 
 
-class CoefficientSystem(NamedTuple):
-    """Finite map (vertex, finite edge set) → positive multiplicity."""
-
+class _CoefficientSystemFields(NamedTuple):
     terms: tuple  # of (v, tuple_of_EdgeRef_sorted, n), canonically sorted
 
-    @staticmethod
-    def make(items) -> "CoefficientSystem":
+
+class CoefficientSystem(_CoefficientSystemFields):
+    """Finite map (vertex, finite edge set) → positive multiplicity."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms):
         """Build from (v, edges, n) triples, merging equal (v, T) keys.
 
-        Each term is checked for its shape, its edges are coerced to
-        ``EdgeRef`` and its name to ``str``; :func:`_merged` then builds
-        the system.  :meth:`validate` checks the edges against a graph.
+        ``terms`` must be a list or tuple of ``(v, edges, n)`` lists or
+        tuples, with ``edges`` a list or tuple of distinct edges and ``n``
+        a positive non-``bool`` ``int``, or ``ValidationError`` is raised.
+        Each edge is coerced to ``EdgeRef`` and each name to ``str``; the
+        stored terms are tuples, each T sorted, equal (v, T) keys merged
+        and the terms sorted.  :meth:`validate` checks them against a graph.
         """
-        if not isinstance(items, (list, tuple)):
-            raise ValidationError(f"coefficient system must be a list of terms, got {items!r}")
+        if not isinstance(terms, (list, tuple)):
+            raise ValidationError(f"coefficient system must be a list of terms, got {terms!r}")
         checked = []
         try:  # sorting and hashing the edges raise TypeError on names or indices of mixed types
-            for term in items:
+            for term in terms:
                 if not isinstance(term, (list, tuple)) or len(term) != 3:
                     raise ValidationError(f"coefficient term must be (v, edges, n), got {term!r}")
                 v, edges, n = term
@@ -86,12 +93,23 @@ class CoefficientSystem(NamedTuple):
             return _merged(checked)
         except TypeError:
             raise ValidationError(
-                f"edges need string names and int indices, got {items!r}"
+                f"edges need string names and int indices, got {terms!r}"
             ) from None
 
+    @classmethod
+    def _make(cls, fields) -> "CoefficientSystem":
+        """Checked like the constructor, and so is ``_replace``, which calls it."""
+        return cls(*fields)
+
+    @classmethod
+    def _trusted(cls, terms: tuple) -> "CoefficientSystem":
+        """Wrap terms that are already canonical, without checking them."""
+        return tuple.__new__(cls, (terms,))
+
     @staticmethod
-    def empty() -> "CoefficientSystem":
-        return CoefficientSystem(())
+    def make(items) -> "CoefficientSystem":
+        """The same as ``CoefficientSystem(items)``."""
+        return CoefficientSystem(items)
 
     def as_dict(self) -> dict:
         return {(v, t): n for v, t, n in self.terms}
@@ -99,64 +117,28 @@ class CoefficientSystem(NamedTuple):
     def support(self) -> frozenset:
         return frozenset(v for v, _, _ in self.terms)
 
-    def merge(self, *others: "CoefficientSystem") -> "CoefficientSystem":
-        items = [(v, t, n) for v, t, n in self.terms]
-        for o in others:
-            items.extend(o.terms)
-        return CoefficientSystem.make(items)
-
     def validate(self, g: Graph) -> "CoefficientSystem":
-        """Check every term against ``g``, and return the system in canonical form.
+        """Check the terms against ``g``, and return the system itself.
 
-        Raises ``ValidationError`` unless the terms are a list of ``(v,
-        T, n)`` triples with ``v`` a vertex name, ``n`` a positive ``int``
-        and ``T`` a list of ``EdgeRef``s out of ``v``, nonempty only at an
-        infinite emitter; an unknown name raises ``NotFoundError``.  The
-        result is the system itself when its terms are tuples in sorted
-        order with distinct ``(v, T)`` keys, as :meth:`make` builds them,
-        and otherwise the equal system that ``make`` builds from them.
+        The constructor has checked their shape, so this checks only what
+        needs the graph: an unknown name raises ``NotFoundError``, and an
+        edge not out of its term's vertex, an edge not in ``g`` or a
+        nonempty T at a vertex that is not an infinite emitter raises
+        ``ValidationError``.
         """
-        terms = self.terms
-        if not isinstance(terms, (list, tuple)):
-            raise ValidationError(f"coefficient system must be a list of terms, got {terms!r}")
-        ordered = type(terms) is tuple  # so far: tuples, in strictly increasing (v, T) order
-        prev = None
-        for term in terms:
-            if not isinstance(term, (list, tuple)) or len(term) != 3:
-                raise ValidationError(f"coefficient term must be (v, edges, n), got {term!r}")
-            if type(term) is not tuple:
-                ordered = False
-            v, t, n = term
-            if type(v) is not str:
-                raise ValidationError(f"vertex name must be a string, got {v!r}")
+        for v, t, _ in self.terms:
             g.index(v)
-            if type(t) is not tuple:
-                if type(t) is not list:
-                    raise ValidationError(f"term 'T' must be a list of edges, got {t!r}")
-                ordered = False
             if t:
-                last = None
                 for e in t:
-                    if type(e) is not EdgeRef:
-                        raise ValidationError(f"edge must be an EdgeRef, got {e!r}")
                     if e.src != v:
                         raise ValidationError(f"edge {e} in a term at {v!r}")
                     if not g.edge_valid(e):
                         raise ValidationError(f"{e} is not an edge of the graph")
-                    if ordered and last is not None and e <= last:
-                        ordered = False
-                    last = e
                 if not g.is_infinite_emitter(v):
                     raise ValidationError(
                         f"nonempty T at {v!r}, which is not an infinite emitter"
                     )
-            if type(n) is not int or n <= 0:
-                raise ValidationError(f"multiplicity must be a positive int, got {n!r}")
-            if ordered:
-                key = (v, t)
-                ordered = prev is None or prev < key
-                prev = key
-        return self if ordered else _merged(terms)
+        return self
 
     def k0_vector(self, g: Graph) -> list:
         """Integer vertex-vector Σ n·(χ_v − Σ_{e∈T} χ_{r(e)})."""
@@ -174,8 +156,9 @@ class CoefficientSystem(NamedTuple):
 
     @staticmethod
     def from_json(data) -> "CoefficientSystem":
+        """The system of JSON terms ``{"v": name, "T": edges, "n": int}``; ``T`` may be left out."""
         if not isinstance(data, (list, tuple)):
-            raise ValidationError(f"coefficient system must be a list of terms, got {data!r}")
+            return CoefficientSystem(data)  # raises the constructor's message
         items = []
         for term in data:
             if not isinstance(term, dict):
@@ -187,49 +170,56 @@ class CoefficientSystem(NamedTuple):
             if not isinstance(edges, (list, tuple)):
                 raise ValidationError(f"term 'T' must be a list of edges, got {edges!r}")
             items.append((_json_name(term["v"]), [EdgeRef.from_json(e) for e in edges], term["n"]))
-        return CoefficientSystem.make(items)
+        return CoefficientSystem(items)
 
 
 def _merged(items) -> CoefficientSystem:
     """The system of ``(v, T, n)`` items: each T sorted, equal (v, T) keys merged, terms sorted.
 
-    Items are trusted to be well formed: :meth:`CoefficientSystem.make`
-    and :meth:`CoefficientSystem.validate` check what a public entry
-    receives, and every internal step builds its systems here.  A T that
-    holds an edge twice still raises ``ValidationError``.
+    The items are trusted to be well formed: the constructor checks what
+    it receives before it merges here, and every internal step builds its
+    systems here.
     """
     acc = {}
     for v, t, n in items:
-        if t:
-            t = tuple(sorted(t))
-            if len(t) > 1 and len(set(t)) < len(t):
-                raise ValidationError(f"duplicate edge in T of {v!r}")
-        else:
-            t = ()
-        key = (v, t)
+        key = (v, tuple(sorted(t)) if t else ())
         acc[key] = acc.get(key, 0) + n
-    return CoefficientSystem(tuple(sorted([(v, t, n) for (v, t), n in acc.items()])))
+    return CoefficientSystem._trusted(tuple(sorted([(v, t, n) for (v, t), n in acc.items()])))
 
 
-def _system(c) -> CoefficientSystem:
-    """``c`` itself, when it is a ``CoefficientSystem``."""
-    if not isinstance(c, CoefficientSystem):
-        raise ValidationError(f"expected a coefficient system, got {c!r}")
-    return c
-
-
-def _listed(head):
-    """``head`` itself, when it is a list or tuple."""
-    if not isinstance(head, (list, tuple)):
-        raise ValidationError(f"projection sequence head must be a list of systems, got {head!r}")
-    return head
-
-
-class ProjectionSequence(NamedTuple):
-    """A finite head of systems plus an optional countably-repeated template."""
-
+class _ProjectionSequenceFields(NamedTuple):
     head: tuple  # of CoefficientSystem
     tail: Optional[CoefficientSystem] = None
+
+
+class ProjectionSequence(_ProjectionSequenceFields):
+    """A finite head of systems plus an optional countably-repeated template."""
+
+    __slots__ = ()
+
+    def __new__(cls, head, tail=None):
+        """Check that ``head`` is a list or tuple of systems and ``tail`` a system or ``None``.
+
+        Anything else raises ``ValidationError``; the head is stored as a tuple.
+        """
+        if not isinstance(head, (list, tuple)):
+            raise ValidationError(
+                f"projection sequence head must be a list of systems, got {head!r}"
+            )
+        for c in head if tail is None else (*head, tail):
+            if not isinstance(c, CoefficientSystem):
+                raise ValidationError(f"expected a coefficient system, got {c!r}")
+        return super().__new__(cls, tuple(head), tail)
+
+    @classmethod
+    def _make(cls, fields) -> "ProjectionSequence":
+        """Checked like the constructor, and so is ``_replace``, which calls it."""
+        return cls(*fields)
+
+    @classmethod
+    def _trusted(cls, head: tuple, tail: Optional[CoefficientSystem]) -> "ProjectionSequence":
+        """Wrap a tuple of systems and a system or ``None``, without checking them."""
+        return tuple.__new__(cls, (head, tail))
 
     def support(self) -> frozenset:
         out = frozenset()
@@ -240,38 +230,26 @@ class ProjectionSequence(NamedTuple):
         return out
 
     def validate(self, g: Graph) -> "ProjectionSequence":
-        """Check every system against ``g``, and return the sequence in canonical form.
+        """Check every system against ``g``, and return the sequence itself.
 
-        The head must be a list of ``CoefficientSystem``s and the tail
-        one or ``None``; each passes :meth:`CoefficientSystem.validate`,
-        and every tail template edge needs infinitely many parallels.
-        The result is the sequence itself when its head is a tuple of
-        systems in canonical form, and otherwise the equal sequence of
-        their canonical forms.
+        Each system passes :meth:`CoefficientSystem.validate`, and every
+        tail template edge needs infinitely many parallels.
         """
-        head, same = _listed(self.head), type(self.head) is tuple
-        checked = []
-        for c in head:
-            d = _system(c).validate(g)
-            same = same and d is c
-            checked.append(d)
-        tail = self.tail
-        if tail is not None:
-            tail = _system(tail).validate(g)
-            for _, t, _ in tail.terms:
+        for c in self.head:
+            c.validate(g)
+        if self.tail is not None:
+            for _, t, _ in self.tail.validate(g).terms:
                 for e in t:
                     if g._mult(e.src, e.dst) != _INF:
                         raise ValidationError(
                             "tail template edges need infinitely many parallels "
                             f"to repeat, got {e} with finite multiplicity"
                         )
-        if same and tail is self.tail:
-            return self
-        return ProjectionSequence(tuple(checked), tail)
+        return self
 
     def head_total(self) -> CoefficientSystem:
-        """The head's systems merged into one, through :meth:`CoefficientSystem.make`."""
-        return CoefficientSystem.make([x for c in _listed(self.head) for x in _system(c).terms])
+        """The head's systems merged into one."""
+        return _merged([x for c in self.head for x in c.terms])
 
     def to_json(self) -> dict:
         out = {"head": [c.to_json() for c in self.head]}
@@ -286,10 +264,10 @@ class ProjectionSequence(NamedTuple):
         head = data.get("head", [])
         if not isinstance(head, (list, tuple)):
             raise ValidationError(f"projection sequence 'head' must be a list, got {head!r}")
-        head = tuple(CoefficientSystem.from_json(c) for c in head)
         tail = data.get("tail")
         return ProjectionSequence(
-            head, CoefficientSystem.from_json(tail) if tail is not None else None
+            [CoefficientSystem.from_json(c) for c in head],
+            CoefficientSystem.from_json(tail) if tail is not None else None,
         )
 
 
@@ -305,7 +283,7 @@ def tail_instance(seq: ProjectionSequence, rep: int) -> CoefficientSystem:
         raise DomainError("sequence has no tail")
     if not isinstance(rep, int) or isinstance(rep, bool) or rep < 0:
         raise ValidationError(f"repetition must be a non-negative int, got {rep!r}")
-    template = CoefficientSystem.make(_system(seq.tail).terms).terms
+    template = seq.tail.terms
     group_sizes: dict = defaultdict(int)
     for _, t, _ in template:
         for e in t:
@@ -323,15 +301,9 @@ def tail_instance(seq: ProjectionSequence, rep: int) -> CoefficientSystem:
 # -- queries ----------------------------------------------------------------
 
 
-def _require_stably_complete(g: Graph) -> None:
-    report = is_stably_complete(g)
-    if not report.satisfied:
-        raise DomainError(f"graph is not stably complete: {report.violations}")
-
-
 def k0_class_of(g: Graph, c: CoefficientSystem) -> K0Class:
     """Canonical K₀ residue of one coefficient system."""
-    return k0_reduce(g, _system(c).validate(g).k0_vector(g))
+    return k0_reduce(g, c.validate(g).k0_vector(g))
 
 
 def head_k0_class(g: Graph, seq: ProjectionSequence) -> K0Class:
@@ -340,8 +312,10 @@ def head_k0_class(g: Graph, seq: ProjectionSequence) -> K0Class:
 
 
 def _checked(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
-    """``seq`` checked, in canonical form, over a graph that must be stably complete."""
-    _require_stably_complete(g)
+    """``seq``, checked over a graph that must be stably complete."""
+    report = is_stably_complete(g)
+    if not report.satisfied:
+        raise DomainError(f"graph is not stably complete: {report.violations}")
     return seq.validate(g)
 
 
@@ -355,12 +329,8 @@ def is_full(g: Graph, seq: ProjectionSequence) -> bool:
 
 
 def _require_full(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
-    """The guard of the steps that need a full sequence on a stably complete graph.
-
-    Returns ``seq`` checked and in canonical form.
-    """
-    seq = _checked(g, seq)
-    if not _generates(g, _mask(g, seq.support())):
+    """``seq``, checked over a stably complete graph that it must generate."""
+    if not is_full(g, seq):
         raise DomainError("sequence is not full")
     return seq
 
@@ -447,7 +417,7 @@ def _make_partitioned(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
             items.append((v, edges, n))
         new_tail = _merged(items)
 
-    return ProjectionSequence(tuple(new_head), new_tail)
+    return ProjectionSequence._trusted(tuple(new_head), new_tail)
 
 
 # -- making the first system full -------------------------------------------
@@ -511,8 +481,10 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
                 terms[(y, ())] = terms.get((y, ()), 0) + count
         else:
             key = min((t for (u, t) in terms if u == w), key=lambda t: (len(t), t))
-            current = CoefficientSystem(tuple((u, t, m) for (u, t), m in terms.items()))
-            f = _fresh_parallel_edge(g, ProjectionSequence((current,), tail), w, v, set(key))
+            # the terms so far, unsorted: _fresh_parallel_edge reads only their edges
+            current = CoefficientSystem._trusted(tuple((u, t, m) for (u, t), m in terms.items()))
+            sofar = ProjectionSequence._trusted((current,), tail)
+            f = _fresh_parallel_edge(g, sofar, w, v, set(key))
             old = terms[(w, key)]
             if old == 1:
                 del terms[(w, key)]
@@ -525,7 +497,7 @@ def fullify(g: Graph, seq: ProjectionSequence) -> ProjectionSequence:
 
     if missing:
         merged = _merged([(v, t, m) for (v, t), m in terms.items()])
-    return ProjectionSequence((merged,) + seq.head[len(prefix):], tail)
+    return ProjectionSequence._trusted((merged,) + seq.head[len(prefix):], tail)
 
 
 def _fresh_parallel_edge(
@@ -616,10 +588,7 @@ def _dominator(g: Graph, v: str):
 def _require_emitter(
     g: Graph, seq: ProjectionSequence, v: str, looped: bool
 ) -> ProjectionSequence:
-    """The guard the eliminations share: ``v`` is an infinite emitter, looped iff ``looped``.
-
-    Returns ``seq`` checked and in canonical form.
-    """
+    """``seq``, checked, where ``v`` is an infinite emitter, looped iff ``looped``."""
     seq = _checked(g, seq)
     if not g.is_infinite_emitter(v):
         raise DomainError(f"{v!r} is not an infinite emitter")
@@ -648,7 +617,7 @@ def _eliminate_loop_emitter(g: Graph, seq: ProjectionSequence, v: str) -> Projec
         raise DomainError(f"no regular vertex shares a cycle with {v!r}")
     head = tuple(_reroute(g, c, v, w) for c in seq.head)
     tail = _reroute(g, seq.tail, v, w) if seq.tail is not None else None
-    return ProjectionSequence(head, tail)
+    return ProjectionSequence._trusted(head, tail)
 
 
 def eliminate_dominated_emitter(
@@ -688,7 +657,7 @@ def _eliminate_dominated_emitter(
             f"the merged prefix has no ({w!r}, ∅) term; run fullify first"
         )
     head = (_reroute(g, merged, v, w),) + seq.head[last + 1 :]
-    return ProjectionSequence(head, seq.tail)
+    return ProjectionSequence._trusted(head, seq.tail)
 
 
 def eliminate_undominated_emitter(
@@ -763,7 +732,7 @@ def _eliminate_undominated_emitter(
 
     head = tuple(rewrite(c, False) for c in seq.head)
     tail = rewrite(seq.tail, True) if seq.tail is not None else None
-    return ProjectionSequence(head, tail)
+    return ProjectionSequence._trusted(head, tail)
 
 
 def undominated_k0_action(g: Graph, v: str, T) -> "callable":
@@ -859,8 +828,7 @@ def normalize_multiplicities(g: Graph, m: dict) -> dict:
     vertex with an ∞ multiplicity has a path to v; among the allowed
     rewrites this picks the constant 1.
     """
-    if set(m) != set(g.vertices):
-        raise ValidationError("multiplicity vector must cover exactly the vertices")
+    _check_cover(g, m, "multiplicities")
     vals = [ExtNat.of(m[v]) for v in g.vertices]
     infinite = sum(1 << i for i, x in enumerate(vals) if x.is_infinite)
     out = {}

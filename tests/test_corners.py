@@ -1,4 +1,5 @@
 import inspect
+import random
 import re
 import sys
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from oracles import oracle_k_pair
 from sample_graphs import edge_to_sink, inf_to_loop, one_loop, two_loops
 
 from graphck import (
@@ -21,9 +23,11 @@ from graphck import (
     k_groups,
     make_corner,
     make_graph,
+    random_graph,
     realize,
     stabilize,
     unitize,
+    vertex_class,
 )
 from graphck.graph import fresh_names
 
@@ -295,6 +299,26 @@ class TestUnitize:
         spiked = build_EH(realize(cg), {"a"})
         spikes = [v for v in spiked.vertices if v != "a"]
         assert star.a("⋆", "a") == len(spikes)
+
+    def test_star_graph_k_theory_by_the_kind_of_star(self):
+        # a singular ⋆ (an infinite emitter or a sink) adds a free ℤ to K₀;
+        # a regular ⋆ is a regular source and leaves the K-theory pair alone
+        kinds = {"infinite-emitter": 0, "sink": 0, "regular": 0}
+        for seed in range(1000):
+            rng = random.Random(seed)
+            g = random_graph(rng, max_vertices=4)
+            heads = [(v, INF if rng.random() < 0.3 else rng.randint(0, 3)) for v in g.vertices]
+            star = unitize(CornerGraph(g, heads))
+            kind = vertex_class(star, star.vertices[-1]).kind
+            kinds[kind] += 1
+            base, got = k_groups(g), k_groups(star)
+            if kind == "regular":
+                assert got == base
+            else:
+                assert got == base._replace(k0_free_rank=base.k0_free_rank + 1)
+            if seed % 10 == 0:
+                assert oracle_k_pair(star) == tuple(got)
+        assert all(kinds.values()), kinds
 
 
 class TestFreshNames:

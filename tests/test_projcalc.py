@@ -62,9 +62,8 @@ def sys_of(*terms):
 
 class TestCoefficientSystem:
     def test_merge_sums_multiplicities(self):
-        a = sys_of(("v", [], 1))
-        b = sys_of(("v", [], 2))
-        assert a.merge(b).as_dict() == {("v", ()): 3}
+        c = CoefficientSystem([("v", [], 1), ("w", [], 1), ("v", [], 2)])
+        assert c.as_dict() == {("v", ()): 3, ("w", ()): 1}
 
     def test_json_round_trip(self):
         c = sys_of(("v", [("v", "w", 0)], 2), ("w", [], 1))
@@ -534,7 +533,7 @@ class TestCornerPipeline:
         assert want[0] == error
         assert _record(corner_pipeline, g, s) == want
 
-    @pytest.mark.parametrize("tail", [None, CoefficientSystem.empty()])
+    @pytest.mark.parametrize("tail", [None, CoefficientSystem(())])
     def test_empty_graph_gives_no_multiplicities(self, tail):
         assert corner_pipeline(make_graph([], []), seq(tail=tail)) == {}
 
@@ -645,7 +644,7 @@ def _corner_outputs(g, s):
 
 
 #: SHA-256 over seeded draws of the three ``gen_systems`` families, with and without a tail.
-CORNER_GOLDEN = "3dc33c4deda2a94447c973fc8b67ba6f8955e111987bd86ac6bdb456129c6d69"
+CORNER_GOLDEN = "f7189fb366193a60e63a82cff9d97546bf9d095c3981bfe46744ad1c553917f8"
 
 
 def test_corner_outputs_match_golden_hash():
@@ -747,54 +746,58 @@ def test_sequence_json_through_the_pipeline_raises_only_graphck_errors(case):
     assert all(m >= 1 for m in out.values())
 
 
-# -- the checks at the boundary ----------------------------------------------
+# -- directly built values ---------------------------------------------------
 
 E = EdgeRef
 _CANONICAL = sys_of(("v", [("v", "w", 0)], 1), ("w", [], 1))  # over inf_to_loop()
+# Directly built values over inf_to_loop(): each raises its message when it is
+# built, or, where the constructor coerces its terms as ``make`` does, equals
+# the value ``make`` builds.
 _MALFORMED = {
     "list-edge": (
-        seq(CoefficientSystem((("v", (["v", "w", 0],), 1),))),
-        "edge must be an EdgeRef, got ['v', 'w', 0]",
+        lambda: seq(CoefficientSystem((("v", (["v", "w", 0],), 1),))),
+        seq(sys_of(("v", [("v", "w", 0)], 1))),
     ),
     "head-not-systems": (
-        ProjectionSequence((("v", (), 1),)),
+        lambda: ProjectionSequence((("v", (), 1),)),
         "expected a coefficient system, got ('v', (), 1)",
     ),
     "head-not-a-list": (
-        ProjectionSequence(5),
+        lambda: ProjectionSequence(5),
         "projection sequence head must be a list of systems, got 5",
     ),
     "tail-not-a-system": (
-        ProjectionSequence((_CANONICAL,), [("w", (), 1)]),
+        lambda: ProjectionSequence((_CANONICAL,), [("w", (), 1)]),
         "expected a coefficient system, got [('w', (), 1)]",
     ),
     "two-item-term": (
-        seq(CoefficientSystem((("v", ()),))),
+        lambda: seq(CoefficientSystem((("v", ()),))),
         "coefficient term must be (v, edges, n), got ('v', ())",
     ),
     "string-of-terms": (
-        seq(CoefficientSystem("abc")),
+        lambda: seq(CoefficientSystem("abc")),
         "coefficient system must be a list of terms, got 'abc'",
     ),
     "T-null": (
-        seq(CoefficientSystem((("w", None, 1),))),
+        lambda: seq(CoefficientSystem((("w", None, 1),))),
         "term 'T' must be a list of edges, got None",
     ),
     "duplicate-edge": (
-        seq(CoefficientSystem((("v", (E("v", "w", 0), E("v", "w", 0)), 1),))),
+        lambda: seq(CoefficientSystem((("v", (E("v", "w", 0), E("v", "w", 0)), 1),))),
         "duplicate edge in T of 'v'",
     ),
     "unhashable-edge-name": (
-        seq(CoefficientSystem((("v", (E("v", ["w"], 0),), 1),))),
-        "EdgeRef(src='v', dst=['w'], index=0) is not an edge of the graph",
+        lambda: seq(CoefficientSystem((("v", (E("v", ["w"], 0),), 1),))),
+        "edges need string names and int indices, "
+        "got (('v', (EdgeRef(src='v', dst=['w'], index=0),), 1),)",
     ),
     "name-not-a-string": (
-        seq(CoefficientSystem(((5, (), 1),))),
-        "vertex name must be a string, got 5",
+        lambda: seq(CoefficientSystem(((5, (), 1),))),
+        seq(sys_of(("5", [], 1))),
     ),
     **{
         f"multiplicity-{n!r}": (
-            seq(CoefficientSystem((("w", (), n),))),
+            lambda n=n: seq(CoefficientSystem((("w", (), n),))),
             f"multiplicity must be a positive int, got {n!r}",
         )
         for n in (0, -1, True)
@@ -812,26 +815,42 @@ _SEQUENCE_ENTRIES = {
 }
 
 
+def _reads_as_made(case, step):
+    """Check that ``step`` on the value of ``case`` raises its message while
+    the value is built, before the step runs, or reads it as ``make``'s value."""
+    build, outcome = _MALFORMED[case]
+    if isinstance(outcome, str):
+        with pytest.raises(ValidationError, match=f"^{re.escape(outcome)}$") as info:
+            step(inf_to_loop(), build())
+        assert info.traceback[-1].name == "__new__"
+    else:
+        built, g = build(), inf_to_loop()
+        assert built == outcome and all(_is_made(c) for c in built.head)
+        assert _record_raw(step, g, built) == _record_raw(step, g, outcome)
+
+
+def _record_raw(step, *args):
+    """A step's output, or the type and message of the error it raises."""
+    try:
+        return step(*args)
+    except GraphCKError as exc:
+        return exc.__class__, str(exc)
+
+
 @pytest.mark.parametrize("entry", sorted(_SEQUENCE_ENTRIES))
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_directly_built_malformed_input_raises_one_line(entry, case):
-    s, message = _MALFORMED[case]
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        _SEQUENCE_ENTRIES[entry](inf_to_loop(), s)
+    _reads_as_made(case, _SEQUENCE_ENTRIES[entry])
 
 
 @pytest.mark.parametrize("case", sorted(c for c in _MALFORMED if "head" not in c and "tail" not in c))
 def test_k0_class_of_checks_the_directly_built_system(case):
-    s, message = _MALFORMED[case]
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        k0_class_of(inf_to_loop(), s.head[0])
+    _reads_as_made(case, lambda g, s: k0_class_of(g, s.head[0]))
 
 
 @pytest.mark.parametrize("case", ["head-not-systems", "head-not-a-list", "multiplicity-0"])
 def test_head_k0_class_reads_the_head_through_make(case):
-    s, message = _MALFORMED[case]
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        head_k0_class(inf_to_loop(), s)
+    _reads_as_made(case, head_k0_class)
 
 
 def test_tail_instance_checks_the_template():
@@ -841,7 +860,29 @@ def test_tail_instance_checks_the_template():
         tail_instance(seq(tail=CoefficientSystem((("v", (5,), 1),))), 1)
 
 
-# Directly built systems that ``make`` would re-sort or merge: out-of-order
+def test_a_directly_built_system_hashes_and_round_trips():
+    assert hash(CoefficientSystem([("v", [], 1)])) == hash(sys_of(("v", [], 1)))
+    c = CoefficientSystem(((5, (), 1),))
+    assert c.to_json() == [{"v": "5", "T": [], "n": 1}]
+    assert CoefficientSystem.from_json(c.to_json()) == c
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProjectionSequence(5).support(),
+         "projection sequence head must be a list of systems, got 5"),
+        (lambda: ProjectionSequence((_CANONICAL,), [("w", (), 1)]).to_json(),
+         "expected a coefficient system, got [('w', (), 1)]"),
+    ],
+    ids=["support", "to_json"],
+)
+def test_a_malformed_sequence_raises_before_any_method(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+# Directly built systems whose terms ``make`` re-sorts or merges: out-of-order
 # terms and edges, repeated (v, T) keys, and lists where ``make`` builds tuples.
 _RAW = [
     (
@@ -884,31 +925,12 @@ def _made(s):
 
 @pytest.mark.parametrize("g, s, mult, residues", _RAW, ids=["dominated", "undominated", "looped"])
 def test_a_system_make_would_reorder_reads_as_made(g, s, mult, residues):
-    made = _made(s)
-    assert made != s
-    assert corner_pipeline(g, s) == corner_pipeline(g, made) == mult
+    assert s == _made(s)
+    assert type(s.head) is tuple
+    assert all(_is_made(c) for c in s.head + ((s.tail,) if s.tail else ()))
+    assert corner_pipeline(g, s) == mult
     assert head_k0_class(g, s).residues == residues
     assert is_full(g, s)
-    for raw, c in zip(s.head, made.head):
-        assert k0_class_of(g, raw) == k0_class_of(g, c)
-    steps = [fullify, make_partitioned, to_multiplicities] + [
-        partial(rule, v=v)
-        for rule in (eliminate_loop_emitter, eliminate_dominated_emitter,
-                     eliminate_undominated_emitter)
-        for v in g.vertices
-    ]
-    for step in steps:
-        assert _record(step, g, s) == _record(step, g, made)
-        out = _record_raw(step, g, s)
-        if isinstance(out, ProjectionSequence):
-            assert all(_is_made(c) for c in out.head + ((out.tail,) if out.tail else ()))
-
-
-def _record_raw(step, *args):
-    try:
-        return step(*args)
-    except GraphCKError as exc:
-        return exc
 
 
 def _is_made(c) -> bool:
@@ -970,22 +992,34 @@ def test_every_system_a_public_step_returns_is_made():
 
 
 def test_pipeline_checks_each_input_system_once_and_never_calls_make(monkeypatch):
-    """Counted, not timed: the checked constructor stays out of the pipeline."""
-    calls = {"make": 0, "validate": 0}
-    make, validate = CoefficientSystem.make, CoefficientSystem.validate
-
-    def counted_make(items):
-        calls["make"] += 1
-        return make(items)
+    """Counted, not timed: the pipeline never runs a checking constructor, and so never ``make``."""
+    calls = {"CoefficientSystem": 0, "ProjectionSequence": 0, "validate": 0}
+    validate = CoefficientSystem.validate
 
     def counted_validate(self, g):
         calls["validate"] += 1
         return validate(self, g)
 
+    def count_new(cls):
+        new = cls.__new__
+
+        def counted_new(*args, **kwargs):
+            calls[cls.__name__] += 1
+            return new(*args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+
     draws = list(_draws())
-    monkeypatch.setattr(CoefficientSystem, "make", staticmethod(counted_make))
+    count_new(CoefficientSystem)
+    count_new(ProjectionSequence)
     monkeypatch.setattr(CoefficientSystem, "validate", counted_validate)
+    seq(CoefficientSystem.make([("v", [], 1)]))  # the counters see the checking constructors
+    assert calls == {"CoefficientSystem": 1, "ProjectionSequence": 1, "validate": 0}
     for g, s in draws:
-        calls["validate"] = 0
+        calls.update(CoefficientSystem=0, ProjectionSequence=0, validate=0)
         corner_pipeline(g, s)
-        assert calls == {"make": 0, "validate": len(s.head) + (s.tail is not None)}
+        assert calls == {
+            "CoefficientSystem": 0,
+            "ProjectionSequence": 0,
+            "validate": len(s.head) + (s.tail is not None),
+        }

@@ -5,6 +5,7 @@ the expected reprs are those the classes had as frozen dataclasses.
 """
 
 import pickle
+import re
 
 import pytest
 
@@ -118,12 +119,37 @@ def test_move_record_assignment_raises_attribute_error():
             lambda: corner_graph(G, {"v": 1, "w": 1})._replace(heads=()),
             "heads must cover exactly the base vertices, in order",
         ),
+        (lambda: SYSTEM._replace(terms=5), "coefficient system must be a list of terms, got 5"),
+        (
+            lambda: CoefficientSystem._make(([("v", [], 0)],)),
+            "multiplicity must be a positive int, got 0",
+        ),
+        (
+            lambda: ProjectionSequence((SYSTEM,))._replace(head=5),
+            "projection sequence head must be a list of systems, got 5",
+        ),
+        (
+            lambda: ProjectionSequence._make(((SYSTEM,), [("w", (), 1)])),
+            "expected a coefficient system, got [('w', (), 1)]",
+        ),
     ],
-    ids=["two-remainders", "not-a-class", "replace-partition", "heads-order", "replace-heads"],
+    ids=[
+        "two-remainders", "not-a-class", "replace-partition", "heads-order", "replace-heads",
+        "replace-terms", "make-system", "replace-head", "make-sequence",
+    ],
 )
 def test_checked_constructors(build, message):
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_replace_and_make_store_the_canonical_form():
+    made = CoefficientSystem.make([("v", [], 1), ("w", [], 2)])
+    assert SYSTEM._replace(terms=[("w", [], 2), ["v", [], 1]]) == made
+    assert CoefficientSystem._make(([("w", [], 2), ("v", [], 1)],)) == made
+    s = ProjectionSequence._make(([SYSTEM], None))
+    assert type(s.head) is tuple and s == ProjectionSequence((SYSTEM,))
+    assert s._replace(head=[made]).head == (made,)
 
 
 def test_lattice_order_is_computed_once():
